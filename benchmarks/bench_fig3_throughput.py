@@ -50,7 +50,6 @@ from typing import Any, Dict, List, Optional
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.amq import HAVE_NUMPY
 from repro.experiments import fig3
 
 #: Four-mode throughput (ops/s) of the list-backed storage engine at
@@ -132,15 +131,13 @@ def test_fig3_batch_vs_scalar_throughput(benchmark, scale):
     print(fig3.format_batch_throughput(results))
     by_kind = {r.kind: r for r in results}
     for r in results:
-        # Batch must never be slower than the scalar loop (generic
-        # fallback keeps this true even without numpy).
+        # Batch must never be slower than the scalar loop.
         assert r.query_speedup > 0.9, (r.kind, r.query_speedup)
-    if HAVE_NUMPY:
-        for kind in ("bloom", "cuckoo"):
-            r = by_kind[kind]
-            assert r.query_speedup >= 2.0, (
-                f"{kind} contains_batch only {r.query_speedup:.2f}x scalar"
-            )
+    for kind in ("bloom", "cuckoo"):
+        r = by_kind[kind]
+        assert r.query_speedup >= 2.0, (
+            f"{kind} contains_batch only {r.query_speedup:.2f}x scalar"
+        )
 
 
 def test_fig3_bulk_build_throughput(benchmark, scale):
@@ -155,21 +152,20 @@ def test_fig3_bulk_build_throughput(benchmark, scale):
     print(fig3.format_bulk_build_throughput(results))
     for r in results:
         assert r.bulk_build_speedup > 0.8, (r.kind, r.bulk_build_speedup)
-    if HAVE_NUMPY:
-        by_kind = {r.kind: r for r in results}
-        for kind in GATED_KINDS:
-            r = by_kind[kind]
-            assert r.bulk_build_speedup >= 2.0, (
-                f"{kind} bulk build only {r.bulk_build_speedup:.2f}x scalar"
-            )
-            assert r.batch_query_speedup >= 3.0, (
-                f"{kind} contains_batch only {r.batch_query_speedup:.2f}x scalar"
-            )
-        r = by_kind["xor"]
+    by_kind = {r.kind: r for r in results}
+    for kind in GATED_KINDS:
+        r = by_kind[kind]
         assert r.bulk_build_speedup >= 2.0, (
-            f"xor bulk build only {r.bulk_build_speedup:.2f}x its scalar-spec "
-            "construction"
+            f"{kind} bulk build only {r.bulk_build_speedup:.2f}x scalar"
         )
+        assert r.batch_query_speedup >= 3.0, (
+            f"{kind} contains_batch only {r.batch_query_speedup:.2f}x scalar"
+        )
+    r = by_kind["xor"]
+    assert r.bulk_build_speedup >= 2.0, (
+        f"xor bulk build only {r.bulk_build_speedup:.2f}x its scalar-spec "
+        "construction"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -180,12 +176,14 @@ def test_fig3_bulk_build_throughput(benchmark, scale):
 def bench_semisort_codec(num_slots: int, seed: int = 7) -> Dict[str, Any]:
     """Vectorized vs scalar semi-sort codec round-trip on one table.
 
-    The scalar arm runs the module's own emit/take loops (its numpy
-    gate is stubbed out for the timed window), so the ratio is internal
-    and machine-independent like the filter build gates.
+    The scalar arm runs the module's own emit/take loops (``pack_table``
+    on a plain list, ``unpack_table_py``), so the ratio is internal and
+    machine-independent like the filter build gates.
     """
     import random
     import time
+
+    import numpy as np
 
     from repro.amq import semisort
 
@@ -193,34 +191,23 @@ def bench_semisort_codec(num_slots: int, seed: int = 7) -> Dict[str, Any]:
     fp_bits = 12
     table = [rng.getrandbits(fp_bits) for _ in range(num_slots)]
     num_buckets = num_slots // semisort.BUCKET_SIZE
-    if HAVE_NUMPY:
-        import numpy as np
-
-        arr = np.array(table, dtype=np.uint64)
-        t0 = time.perf_counter()
-        packed = semisort.pack_table(arr, fp_bits)
-        semisort.unpack_table_array(packed, num_buckets, fp_bits)
-        t_vec = time.perf_counter() - t0
-    else:
-        t_vec = None
-    saved = semisort.np
-    semisort.np = None
-    try:
-        t0 = time.perf_counter()
-        packed_scalar = semisort.pack_table(table, fp_bits)
-        semisort.unpack_table_array(packed_scalar, num_buckets, fp_bits)
-        t_scalar = time.perf_counter() - t0
-    finally:
-        semisort.np = saved
-    if t_vec is not None:
-        assert packed == packed_scalar, "codec paths disagree on bytes"
-    ratio = (t_scalar / t_vec) if t_vec else None
+    arr = np.array(table, dtype=np.uint64)
+    t0 = time.perf_counter()
+    packed = semisort.pack_table(arr, fp_bits)
+    semisort.unpack_table_array(packed, num_buckets, fp_bits)
+    t_vec = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    packed_scalar = semisort.pack_table(table, fp_bits)
+    semisort.unpack_table_py(packed_scalar, num_buckets, fp_bits)
+    t_scalar = time.perf_counter() - t0
+    assert packed == packed_scalar, "codec paths disagree on bytes"
+    ratio = t_scalar / t_vec
     return {
         "num_slots": num_slots,
         "fp_bits": fp_bits,
-        "vectorized_roundtrip_s": round(t_vec, 6) if t_vec else None,
+        "vectorized_roundtrip_s": round(t_vec, 6),
         "scalar_roundtrip_s": round(t_scalar, 6),
-        "internal_speedup": round(ratio, 2) if ratio else None,
+        "internal_speedup": round(ratio, 2),
     }
 
 
@@ -296,15 +283,14 @@ def run_benchmark(
     # is ~0.1 s there): at tiny tables fixed numpy overheads dilute the
     # ratio below the floor without any regression.
     codec = bench_semisort_codec(max(num_items, 1 << 16))
-    if codec["internal_speedup"] is not None:
-        gates["semisort_codec"] = {
-            "internal_roundtrip_speedup_ge_8x": codec["internal_speedup"]
-            >= MIN_INTERNAL_CODEC_SPEEDUP,
-        }
-        print(
-            f"semisort codec roundtrip: {codec['internal_speedup']}x "
-            f"vectorized vs scalar ({num_items} slots)"
-        )
+    gates["semisort_codec"] = {
+        "internal_roundtrip_speedup_ge_8x": codec["internal_speedup"]
+        >= MIN_INTERNAL_CODEC_SPEEDUP,
+    }
+    print(
+        f"semisort codec roundtrip: {codec['internal_speedup']}x "
+        f"vectorized vs scalar ({num_items} slots)"
+    )
 
     report = {
         "benchmark": "fig3_throughput",
@@ -317,7 +303,6 @@ def run_benchmark(
             "query_mix": "half absent, half present probes",
             "families": list(kinds),
         },
-        "have_numpy": HAVE_NUMPY,
         "engines": engines,
         "semisort_codec": codec,
         "pre_engine_baseline": {
@@ -339,28 +324,26 @@ def run_benchmark(
         print(f"  wrote {output}")
 
     # -- assertions ----------------------------------------------------------
-    if HAVE_NUMPY:
-        for kind in gated:
-            r = by_kind[kind]
-            assert r.bulk_build_speedup >= MIN_INTERNAL_BUILD_SPEEDUP, (
-                f"{kind} bulk build {r.bulk_build_speedup:.2f}x scalar "
-                f"< {MIN_INTERNAL_BUILD_SPEEDUP}x floor"
-            )
-            assert r.batch_query_speedup >= MIN_INTERNAL_QUERY_SPEEDUP, (
-                f"{kind} batch query {r.batch_query_speedup:.2f}x scalar "
-                f"< {MIN_INTERNAL_QUERY_SPEEDUP}x floor"
-            )
-        if "xor" in by_kind:
-            r = by_kind["xor"]
-            assert r.bulk_build_speedup >= MIN_INTERNAL_XOR_BUILD_SPEEDUP, (
-                f"xor bulk build {r.bulk_build_speedup:.2f}x its scalar-spec "
-                f"construction < {MIN_INTERNAL_XOR_BUILD_SPEEDUP}x floor"
-            )
-        if codec["internal_speedup"] is not None:
-            assert codec["internal_speedup"] >= MIN_INTERNAL_CODEC_SPEEDUP, (
-                f"semisort codec roundtrip {codec['internal_speedup']}x "
-                f"scalar < {MIN_INTERNAL_CODEC_SPEEDUP}x floor"
-            )
+    for kind in gated:
+        r = by_kind[kind]
+        assert r.bulk_build_speedup >= MIN_INTERNAL_BUILD_SPEEDUP, (
+            f"{kind} bulk build {r.bulk_build_speedup:.2f}x scalar "
+            f"< {MIN_INTERNAL_BUILD_SPEEDUP}x floor"
+        )
+        assert r.batch_query_speedup >= MIN_INTERNAL_QUERY_SPEEDUP, (
+            f"{kind} batch query {r.batch_query_speedup:.2f}x scalar "
+            f"< {MIN_INTERNAL_QUERY_SPEEDUP}x floor"
+        )
+    if "xor" in by_kind:
+        r = by_kind["xor"]
+        assert r.bulk_build_speedup >= MIN_INTERNAL_XOR_BUILD_SPEEDUP, (
+            f"xor bulk build {r.bulk_build_speedup:.2f}x its scalar-spec "
+            f"construction < {MIN_INTERNAL_XOR_BUILD_SPEEDUP}x floor"
+        )
+    assert codec["internal_speedup"] >= MIN_INTERNAL_CODEC_SPEEDUP, (
+        f"semisort codec roundtrip {codec['internal_speedup']}x "
+        f"scalar < {MIN_INTERNAL_CODEC_SPEEDUP}x floor"
+    )
     if enforce_vs_main:
         for kind in gated:
             g = gates[kind]

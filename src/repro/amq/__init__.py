@@ -13,7 +13,7 @@ IC-suppression ClientHello extension (:mod:`repro.amq.serialization`).
 """
 
 from repro.amq.base import AMQFilter, FilterParams
-from repro.amq.hashing import HAVE_NUMPY, VECTOR_MIN_BATCH
+from repro.amq.hashing import VECTOR_MIN_BATCH
 from repro.amq.bloom import BloomFilter, CountingBloomFilter
 from repro.amq.cuckoo import CuckooFilter
 from repro.amq.vacuum import VacuumFilter
@@ -51,7 +51,6 @@ from repro.amq.sizing import (
 __all__ = [
     "AMQFilter",
     "FilterParams",
-    "HAVE_NUMPY",
     "VECTOR_MIN_BATCH",
     "BloomFilter",
     "CountingBloomFilter",

@@ -152,15 +152,15 @@ class AMQFilter(ABC):
         """Reconstruct a filter from ``to_bytes`` output."""
 
     @classmethod
+    @abstractmethod
     def expected_payload_bytes(cls, params: FilterParams) -> int:
         """Exact payload size (bytes) a filter built with ``params``
         serializes to — the geometry check
         :func:`repro.amq.serialization.deserialize_filter` runs before
-        handing a payload to :meth:`from_bytes`. The default derives it
-        from a freshly-built (empty) filter; backends whose payload
-        carries extra header fields override it.
+        handing a payload to :meth:`from_bytes`. The params come from an
+        untrusted wire header, so implementations derive the size from
+        geometry alone and never allocate the table it describes.
         """
-        return cls(params).size_in_bytes()
 
     @classmethod
     def build_from_fingerprints(
@@ -222,8 +222,8 @@ class AMQFilter(ABC):
     # test_batch_differential.py enforces for every registered backend.
     # The public methods instrument then delegate; subclasses override the
     # ``_x_batch`` hooks with vectorized implementations, and the generic
-    # underscore loops here are both the fallback (no numpy, tiny batches)
-    # and the executable specification. The hooks call the underscore
+    # underscore loops here are both the small-batch path and the
+    # executable specification. The hooks call the underscore
     # scalar core — never the public methods — so no operation is ever
     # double-counted.
 

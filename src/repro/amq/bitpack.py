@@ -20,16 +20,17 @@ Field widths are limited to 32 bits: a value shifted by its intra-byte
 offset then occupies at most 39 bits, comfortably inside uint64, and
 spans at most 5 output bytes.
 
-Everything degrades to the original scalar accumulator loop when numpy
-is unavailable or the input is a plain Python sequence — callers never
-need to branch on ``HAVE_NUMPY`` themselves.
+The scalar accumulator loops (the ``*_py`` functions) stay as the
+executable spec and serve what the kernels cannot: plain Python
+sequences handed to the packers, and fields wider than
+:data:`MAX_FIELD_BITS`.
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from repro.amq.hashing import np
+import numpy as np
 
 #: Widest field the vectorized kernels handle. Wider fields would
 #: overflow the uint64 shift-and-scatter kernel, so they take the scalar
@@ -49,7 +50,7 @@ def _span_bytes(width: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Scalar fallbacks (the historical accumulator loops — also the spec)
+# Scalar accumulator loops (the spec; wide fields and plain sequences)
 # ---------------------------------------------------------------------------
 
 
@@ -169,7 +170,7 @@ def pack_uniform(values, width: int) -> bytes:
     """Pack ``values`` at ``width`` bits each, LSB-first, final byte
     zero-padded — byte-identical to :func:`pack_uniform_py`."""
     _check_width(width)
-    if np is None or not isinstance(values, np.ndarray) or width > MAX_FIELD_BITS:
+    if not isinstance(values, np.ndarray) or width > MAX_FIELD_BITS:
         return pack_uniform_py(values, width)
     n = len(values)
     if n == 0:
@@ -184,9 +185,10 @@ def pack_uniform(values, width: int) -> bytes:
 
 def unpack_uniform(data: bytes, count: int, width: int):
     """Decode ``count`` values of ``width`` bits from ``data``. Returns a
-    uint64 array (numpy) or list of ints (fallback)."""
+    uint64 array, or a list of ints for fields wider than
+    :data:`MAX_FIELD_BITS`."""
     _check_width(width)
-    if np is None or width > MAX_FIELD_BITS:
+    if width > MAX_FIELD_BITS:
         return unpack_uniform_py(data, count, width)
     if (count * width + 7) // 8 > len(data):
         raise ValueError(
@@ -209,10 +211,8 @@ def pack_records(fields: Sequence[Tuple["object", int]]) -> bytes:
     """
     for _, width in fields:
         _check_width(width)
-    if (
-        np is None
-        or not all(isinstance(v, np.ndarray) for v, _ in fields)
-        or any(width > MAX_FIELD_BITS for _, width in fields)
+    if not all(isinstance(v, np.ndarray) for v, _ in fields) or any(
+        width > MAX_FIELD_BITS for _, width in fields
     ):
         return pack_records_py(fields)
     record_bits = 0
@@ -234,10 +234,11 @@ def pack_records(fields: Sequence[Tuple["object", int]]) -> bytes:
 
 def unpack_records(data: bytes, count: int, widths: Sequence[int]):
     """Decode ``count`` records of the given field ``widths``; returns one
-    array (or list) per field."""
+    array (or list, for fields wider than :data:`MAX_FIELD_BITS`) per
+    field."""
     for width in widths:
         _check_width(width)
-    if np is None or any(width > MAX_FIELD_BITS for width in widths):
+    if any(width > MAX_FIELD_BITS for width in widths):
         return unpack_records_py(data, count, widths)
     record_bits = sum(widths)
     if (count * record_bits + 7) // 8 > len(data):
@@ -259,19 +260,11 @@ def unpack_records(data: bytes, count: int, widths: Sequence[int]):
 def pack_flags(flags) -> bytes:
     """Pack booleans 8-per-byte, LSB-first (bit ``i`` of the stream is
     flag ``i``)."""
-    if np is None:
-        out = bytearray((len(flags) + 7) // 8)
-        for i, flag in enumerate(flags):
-            if flag:
-                out[i >> 3] |= 1 << (i & 7)
-        return bytes(out)
     arr = np.asarray(flags, dtype=bool)
     return np.packbits(arr, bitorder="little").tobytes()
 
 
 def unpack_flags(data: bytes, count: int):
-    """Inverse of :func:`pack_flags`; returns a bool array (or list)."""
-    if np is None:
-        return [bool(data[i >> 3] & (1 << (i & 7))) for i in range(count)]
+    """Inverse of :func:`pack_flags`; returns a bool array."""
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
     return bits[:count].astype(bool)

@@ -13,12 +13,13 @@ from __future__ import annotations
 import math
 from typing import List, Sequence
 
+import numpy as np
+
 from repro.amq.base import AMQFilter, FilterParams
 from repro.amq.hashing import (
     VECTOR_MIN_BATCH,
     double_hashes,
     double_hashes_np,
-    np,
 )
 from repro.errors import FilterFullError, FilterSerializationError
 
@@ -48,7 +49,7 @@ class BloomFilter(AMQFilter):
     def _refresh_view(self) -> None:
         # Persistent writable uint8 view over the backing bytearray; batch
         # kernels index it directly with zero per-call materialization.
-        self._buf = None if np is None else np.frombuffer(self._array, dtype=np.uint8)
+        self._buf = np.frombuffer(self._array, dtype=np.uint8)
 
     # -- bit helpers ---------------------------------------------------------
 
@@ -91,7 +92,7 @@ class BloomFilter(AMQFilter):
         ]
 
     def _insert_batch(self, items: Sequence[bytes]) -> None:
-        if np is None or len(items) < VECTOR_MIN_BATCH:
+        if len(items) < VECTOR_MIN_BATCH:
             return super()._insert_batch(items)
         allowed = self.capacity - self._count
         accepted = items[:allowed] if allowed < len(items) else items
@@ -108,7 +109,7 @@ class BloomFilter(AMQFilter):
             )
 
     def _contains_batch(self, items: Sequence[bytes]) -> List[bool]:
-        if np is None or len(items) < VECTOR_MIN_BATCH:
+        if len(items) < VECTOR_MIN_BATCH:
             return super()._contains_batch(items)
         buf = self._buf
         hit = np.ones(len(items), dtype=bool)
@@ -185,7 +186,7 @@ class CountingBloomFilter(AMQFilter):
         self._refresh_view()
 
     def _refresh_view(self) -> None:
-        self._buf = None if np is None else np.frombuffer(self._array, dtype=np.uint8)
+        self._buf = np.frombuffer(self._array, dtype=np.uint8)
 
     def _positions(self, item: bytes):
         for h in double_hashes(item, self._k, self._params.seed):
@@ -228,7 +229,7 @@ class CountingBloomFilter(AMQFilter):
         ]
 
     def _insert_batch(self, items: Sequence[bytes]) -> None:
-        if np is None or len(items) < VECTOR_MIN_BATCH:
+        if len(items) < VECTOR_MIN_BATCH:
             return super()._insert_batch(items)
         allowed = self.capacity - self._count
         accepted = items[:allowed] if allowed < len(items) else items
@@ -252,7 +253,7 @@ class CountingBloomFilter(AMQFilter):
             )
 
     def _contains_batch(self, items: Sequence[bytes]) -> List[bool]:
-        if np is None or len(items) < VECTOR_MIN_BATCH:
+        if len(items) < VECTOR_MIN_BATCH:
             return super()._contains_batch(items)
         buf = self._buf
         hit = np.ones(len(items), dtype=bool)

@@ -14,8 +14,7 @@ The table is a single preallocated ``uint64`` array of
 never 0), with a ``(num_buckets, bucket_size)`` reshaped *view* kept
 alongside so batch kernels index buckets without any per-call
 materialization. Scalar operations index the same array, so both paths
-always observe one table. When numpy is missing the storage degrades to
-a plain list and every batch method falls back to the scalar loops.
+always observe one table.
 
 Bulk insert
 -----------
@@ -53,6 +52,8 @@ import heapq
 import random
 from typing import ClassVar, List, Sequence
 
+import numpy as np
+
 from repro.amq import bitpack, semisort
 from repro.amq.base import AMQFilter, FilterParams
 from repro.amq.hashing import (
@@ -61,7 +62,6 @@ from repro.amq.hashing import (
     hash64,
     hash64_multi_np,
     hash_int,
-    np,
 )
 from repro.amq.sizing import fingerprint_bits_for_fpp
 from repro.errors import (
@@ -99,12 +99,10 @@ class BucketTableFilter(AMQFilter):
         self._bucket_size = bucket_size
         self._max_kicks = max_kicks
         self._fp_bits = fingerprint_bits_for_fpp(params.fpp, bucket_size)
-        self._semi_sort = (
-            semi_sort
-            and bucket_size == semisort.BUCKET_SIZE
-            and self._fp_bits >= semisort.MIN_FP_BITS
+        self._semi_sort = semi_sort and self._semi_sortable(
+            bucket_size, self._fp_bits
         )
-        self._num_buckets = self._geometry(params)
+        self._num_buckets = self._geometry(params, bucket_size)
         self._alloc_table()
         self._rng = random.Random(params.seed ^ self._RNG_SALT)
         # hash_int(fp, seed) memo for the alternate-index maps: the kick
@@ -114,19 +112,14 @@ class BucketTableFilter(AMQFilter):
 
     def _alloc_table(self) -> None:
         slots = self._num_buckets * self._bucket_size
-        if np is not None:
-            # Flat table: 0 marks an empty slot (fingerprints are never 0).
-            self._table = np.zeros(slots, dtype=np.uint64)
-            self._bucket_view = self._table.reshape(
-                self._num_buckets, self._bucket_size
-            )
-        else:
-            self._table = [0] * slots
-            self._bucket_view = None
+        # Flat table: 0 marks an empty slot (fingerprints are never 0).
+        self._table = np.zeros(slots, dtype=np.uint64)
+        self._bucket_view = self._table.reshape(self._num_buckets, self._bucket_size)
 
     # -- subclass hooks --------------------------------------------------------
 
-    def _geometry(self, params: FilterParams) -> int:
+    @classmethod
+    def _geometry(cls, params: FilterParams, bucket_size: int) -> int:
         """Number of buckets for ``params`` (subclass-specific)."""
         raise NotImplementedError
 
@@ -305,7 +298,7 @@ class BucketTableFilter(AMQFilter):
         return fps, i1, self._alt_index_np(i1, fps)
 
     def _insert_batch(self, items: Sequence[bytes]) -> None:
-        if np is None or len(items) < VECTOR_MIN_BATCH:
+        if len(items) < VECTOR_MIN_BATCH:
             return super()._insert_batch(items)
         fps, i1s, i2s = self._batch_candidates(items)
         # Bucket indices fit in int63, so the uint64->int64 view is a free
@@ -467,7 +460,7 @@ class BucketTableFilter(AMQFilter):
         )
 
     def _contains_batch(self, items: Sequence[bytes]) -> List[bool]:
-        if np is None or len(items) < VECTOR_MIN_BATCH:
+        if len(items) < VECTOR_MIN_BATCH:
             return super()._contains_batch(items)
         fps, i1, i2 = self._batch_candidates(items)
         buckets = self._bucket_view
@@ -477,7 +470,7 @@ class BucketTableFilter(AMQFilter):
         return hit.tolist()
 
     def _delete_batch(self, items: Sequence[bytes]) -> List[bool]:
-        if np is None or len(items) < VECTOR_MIN_BATCH:
+        if len(items) < VECTOR_MIN_BATCH:
             return super()._delete_batch(items)
         # Deletions are order-dependent under duplicate fingerprints, so
         # placement stays scalar over the vectorized candidates.
@@ -518,11 +511,36 @@ class BucketTableFilter(AMQFilter):
         per_slot = 2.0 ** -self._fp_bits
         return 1.0 - (1.0 - per_slot) ** (2 * self._bucket_size * alpha)
 
+    @staticmethod
+    def _semi_sortable(bucket_size: int, fp_bits: int) -> bool:
+        return bucket_size == semisort.BUCKET_SIZE and fp_bits >= semisort.MIN_FP_BITS
+
+    @staticmethod
+    def _payload_bytes(
+        num_buckets: int, bucket_size: int, fp_bits: int, semi_sort: bool
+    ) -> int:
+        if semi_sort:
+            return semisort.packed_size_bytes(num_buckets, fp_bits)
+        return (num_buckets * bucket_size * fp_bits + 7) // 8
+
     def size_in_bytes(self) -> int:
-        if self._semi_sort:
-            return semisort.packed_size_bytes(self._num_buckets, self._fp_bits)
-        total_bits = self.slot_count() * self._fp_bits
-        return (total_bits + 7) // 8
+        return self._payload_bytes(
+            self._num_buckets, self._bucket_size, self._fp_bits, self._semi_sort
+        )
+
+    @classmethod
+    def expected_payload_bytes(cls, params: FilterParams) -> int:
+        """Payload size of a default-configured filter, from geometry
+        alone: a wire header may claim a table of gigabytes, so nothing
+        is allocated before that claim is checked against the payload."""
+        bucket_size = DEFAULT_BUCKET_SIZE
+        fp_bits = fingerprint_bits_for_fpp(params.fpp, bucket_size)
+        return cls._payload_bytes(
+            cls._geometry(params, bucket_size),
+            bucket_size,
+            fp_bits,
+            cls._semi_sortable(bucket_size, fp_bits),
+        )
 
     # -- serialization ---------------------------------------------------------
 
@@ -561,10 +579,6 @@ class BucketTableFilter(AMQFilter):
                 table = bitpack.unpack_uniform(payload, total_slots, filt._fp_bits)
         except ValueError as exc:
             raise FilterSerializationError(str(exc)) from exc
-        if np is not None:
-            filt._table[:] = table
-            filt._count = int(np.count_nonzero(filt._table))
-        else:
-            filt._table = list(table)
-            filt._count = sum(1 for fp in filt._table if fp)
+        filt._table[:] = table
+        filt._count = int(np.count_nonzero(filt._table))
         return filt

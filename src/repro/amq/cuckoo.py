@@ -24,13 +24,15 @@ contributes only the power-of-two geometry and the XOR partner map.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.amq.base import FilterParams
 from repro.amq.bucketstore import (
     DEFAULT_BUCKET_SIZE,
     DEFAULT_MAX_KICKS,
     BucketTableFilter,
 )
-from repro.amq.hashing import hash_int_np, np
+from repro.amq.hashing import hash_int_np
 from repro.amq.sizing import cuckoo_geometry
 
 __all__ = ["CuckooFilter", "DEFAULT_BUCKET_SIZE", "DEFAULT_MAX_KICKS"]
@@ -42,8 +44,9 @@ class CuckooFilter(BucketTableFilter):
     name = "cuckoo"
     _RNG_SALT = 0xC0C0
 
-    def _geometry(self, params: FilterParams) -> int:
-        return cuckoo_geometry(params.capacity, params.load_factor, self._bucket_size)
+    @classmethod
+    def _geometry(cls, params: FilterParams, bucket_size: int) -> int:
+        return cuckoo_geometry(params.capacity, params.load_factor, bucket_size)
 
     def _alt_index(self, index: int, fp: int) -> int:
         # hash the fingerprint (not the raw value) so sparse fingerprints

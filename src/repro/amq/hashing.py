@@ -6,20 +6,16 @@ remote peer must query). We layer a splitmix64 finalizer on top of FNV-1a,
 which empirically passes the avalanche needs of fingerprint extraction at the
 scales this package operates on (hundreds to millions of keys).
 
-All arithmetic is modulo 2**64.
+All arithmetic is modulo 2**64. The scalar functions are the spec; the
+``*_np`` kernels further down are their bit-identical batch forms over
+numpy arrays.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-try:  # numpy is a declared dependency, but every path degrades gracefully
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    np = None  # type: ignore[assignment]
-
-#: Whether the vectorized batch-hashing kernels are available.
-HAVE_NUMPY = np is not None
+import numpy as np
 
 MASK64 = (1 << 64) - 1
 

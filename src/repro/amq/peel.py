@@ -48,7 +48,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from repro.amq.hashing import np
+import numpy as np
 
 _FORCE_SPEC = False
 

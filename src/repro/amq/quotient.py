@@ -35,9 +35,11 @@ from __future__ import annotations
 from collections import deque
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 from repro.amq import bitpack
 from repro.amq.base import AMQFilter, FilterParams
-from repro.amq.hashing import VECTOR_MIN_BATCH, hash64, hash64_np, np
+from repro.amq.hashing import VECTOR_MIN_BATCH, hash64, hash64_np
 from repro.amq.sizing import quotient_geometry, remainder_bits_for_fpp
 from repro.errors import FilterFullError, FilterSerializationError
 
@@ -53,16 +55,10 @@ class QuotientFilter(AMQFilter):
         self._slots = quotient_geometry(params.capacity, params.load_factor)
         self._q_bits = self._slots.bit_length() - 1
         self._r_bits = remainder_bits_for_fpp(params.fpp)
-        if np is not None:
-            self._occ = np.zeros(self._slots, dtype=bool)
-            self._cont = np.zeros(self._slots, dtype=bool)
-            self._shift = np.zeros(self._slots, dtype=bool)
-            self._rem = np.zeros(self._slots, dtype=np.uint64)
-        else:
-            self._occ = [False] * self._slots
-            self._cont = [False] * self._slots
-            self._shift = [False] * self._slots
-            self._rem = [0] * self._slots
+        self._occ = np.zeros(self._slots, dtype=bool)
+        self._cont = np.zeros(self._slots, dtype=bool)
+        self._shift = np.zeros(self._slots, dtype=bool)
+        self._rem = np.zeros(self._slots, dtype=np.uint64)
 
     # -- geometry ---------------------------------------------------------------
 
@@ -225,7 +221,7 @@ class QuotientFilter(AMQFilter):
         return list(zip(quo.tolist(), rem.tolist()))
 
     def _insert_batch(self, items: Sequence[bytes]) -> None:
-        if np is None or len(items) < VECTOR_MIN_BATCH:
+        if len(items) < VECTOR_MIN_BATCH:
             return super()._insert_batch(items)
         if self._count == 0:
             return self._bulk_build(items)
@@ -296,7 +292,7 @@ class QuotientFilter(AMQFilter):
             )
 
     def _contains_batch(self, items: Sequence[bytes]) -> List[bool]:
-        if np is None or len(items) < VECTOR_MIN_BATCH:
+        if len(items) < VECTOR_MIN_BATCH:
             return super()._contains_batch(items)
         if len(items) >= max(VECTOR_MIN_BATCH, self._slots >> 6):
             return self._contains_batch_np(items)
@@ -498,18 +494,9 @@ class QuotientFilter(AMQFilter):
             )
         except ValueError as exc:
             raise FilterSerializationError(str(exc)) from exc
-        if np is not None:
-            filt._occ[:] = occ
-            filt._cont[:] = cont
-            filt._shift[:] = shift
-            filt._rem[:] = rem
-            filt._count = int(np.count_nonzero(occ | cont | shift))
-        else:
-            filt._occ = occ
-            filt._cont = cont
-            filt._shift = shift
-            filt._rem = rem
-            filt._count = sum(
-                1 for p in range(filt._slots) if not filt._slot_empty(p)
-            )
+        filt._occ[:] = occ
+        filt._cont[:] = cont
+        filt._shift[:] = shift
+        filt._rem[:] = rem
+        filt._count = int(np.count_nonzero(occ | cont | shift))
         return filt

@@ -11,6 +11,13 @@ filter under the paper's 550-byte ClientHello budget (§5.2, Fig. 3-right).
 
 Empty slots participate as fingerprint 0 (fingerprints are never 0), so a
 bucket's occupancy round-trips exactly.
+
+The table codec runs vectorized over uint64 arrays
+(:func:`pack_table` / :func:`unpack_table_array`). The per-bucket
+:func:`encode_bucket` / :func:`decode_bucket` loops are its executable
+spec: :func:`pack_table` runs them on a plain Python sequence,
+:func:`unpack_table_py` is the decoding twin, and both serve high parts
+wider than :data:`repro.amq.bitpack.MAX_FIELD_BITS`.
 """
 
 from __future__ import annotations
@@ -18,8 +25,9 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 from typing import List, Sequence
 
+import numpy as np
+
 from repro.amq import bitpack
-from repro.amq.hashing import np
 
 BUCKET_SIZE = 4
 INDEX_BITS = 12
@@ -99,11 +107,7 @@ def pack_table(table, fp_bits: int) -> bytes:
     high_bits = fp_bits - 4
     # The composite sort key stores the high part in 32 bits, so very wide
     # fingerprints (tiny fpp) use the scalar emit loop instead.
-    if (
-        np is not None
-        and isinstance(table, np.ndarray)
-        and high_bits <= bitpack.MAX_FIELD_BITS
-    ):
+    if isinstance(table, np.ndarray) and high_bits <= bitpack.MAX_FIELD_BITS:
         u64 = np.uint64
         t = np.ascontiguousarray(table, dtype=u64).reshape(-1, BUCKET_SIZE)
         # Composite sort key: lexicographic (low nibble, high part), as
@@ -124,7 +128,7 @@ def pack_table(table, fp_bits: int) -> bytes:
             [(index, INDEX_BITS)]
             + [(np.ascontiguousarray(highs[:, j]), high_bits) for j in range(4)]
         )
-    if np is not None and isinstance(table, np.ndarray):
+    if isinstance(table, np.ndarray):
         table = [int(fp) for fp in table]
     acc = 0
     acc_bits = 0
@@ -152,33 +156,37 @@ def pack_table(table, fp_bits: int) -> bytes:
 def unpack_table(data: bytes, num_buckets: int, fp_bits: int) -> List[int]:
     """Inverse of :func:`pack_table` (always returns a list of ints; use
     :func:`unpack_table_array` on the array-native path)."""
-    table = unpack_table_array(data, num_buckets, fp_bits)
-    if np is not None and isinstance(table, np.ndarray):
-        return [int(fp) for fp in table]
-    return table
+    return [int(fp) for fp in unpack_table_array(data, num_buckets, fp_bits)]
 
 
 def unpack_table_array(data: bytes, num_buckets: int, fp_bits: int):
-    """Decode a semi-sorted payload into a flat slot table (uint64 array
-    when numpy is available, else a list)."""
+    """Decode a semi-sorted payload into a flat slot table: a uint64
+    array, or a list for high parts wider than
+    :data:`bitpack.MAX_FIELD_BITS`."""
     high_bits = fp_bits - 4
-    if np is not None and high_bits <= bitpack.MAX_FIELD_BITS:
-        if len(data) < packed_size_bytes(num_buckets, fp_bits):
-            raise ValueError("semi-sorted payload truncated")
-        fields = bitpack.unpack_records(
-            data, num_buckets, [INDEX_BITS] + [high_bits] * BUCKET_SIZE
-        )
-        index = fields[0]
-        if index.size and int(index.max()) >= len(_TUPLES):
-            raise ValueError(
-                f"semi-sort index {int(index.max())} out of range"
-            )
-        tuples, _ = _np_tables()
-        nibbles = tuples[index.astype(np.intp)]  # (num_buckets, 4)
-        table = np.empty(num_buckets * BUCKET_SIZE, dtype=np.uint64)
-        for j in range(BUCKET_SIZE):
-            table[j::BUCKET_SIZE] = (fields[1 + j] << np.uint64(4)) | nibbles[:, j]
-        return table
+    if high_bits > bitpack.MAX_FIELD_BITS:
+        return unpack_table_py(data, num_buckets, fp_bits)
+    if len(data) < packed_size_bytes(num_buckets, fp_bits):
+        raise ValueError("semi-sorted payload truncated")
+    fields = bitpack.unpack_records(
+        data, num_buckets, [INDEX_BITS] + [high_bits] * BUCKET_SIZE
+    )
+    index = fields[0]
+    if index.size and int(index.max()) >= len(_TUPLES):
+        raise ValueError(f"semi-sort index {int(index.max())} out of range")
+    tuples, _ = _np_tables()
+    nibbles = tuples[index.astype(np.intp)]  # (num_buckets, 4)
+    table = np.empty(num_buckets * BUCKET_SIZE, dtype=np.uint64)
+    for j in range(BUCKET_SIZE):
+        table[j::BUCKET_SIZE] = (fields[1 + j] << np.uint64(4)) | nibbles[:, j]
+    return table
+
+
+def unpack_table_py(data: bytes, num_buckets: int, fp_bits: int) -> List[int]:
+    """Scalar take loop over :func:`decode_bucket` — the spec the
+    vectorized :func:`unpack_table_array` matches, and its path for very
+    wide fingerprints."""
+    high_bits = fp_bits - 4
     acc = 0
     acc_bits = 0
     pos = 0

@@ -26,13 +26,15 @@ contributes only the chunked geometry and the two-class partner map.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.amq.base import FilterParams
 from repro.amq.bucketstore import (
     DEFAULT_BUCKET_SIZE,
     DEFAULT_MAX_KICKS,
     BucketTableFilter,
 )
-from repro.amq.hashing import hash_int_np, np
+from repro.amq.hashing import hash_int_np
 from repro.amq.sizing import vacuum_geometry
 
 __all__ = ["VacuumFilter", "DEFAULT_BUCKET_SIZE", "DEFAULT_MAX_KICKS"]
@@ -44,11 +46,17 @@ class VacuumFilter(BucketTableFilter):
     name = "vacuum"
     _RNG_SALT = 0x7ACC
 
-    def _geometry(self, params: FilterParams) -> int:
-        num_buckets, self._chunk_len = vacuum_geometry(
-            params.capacity, params.load_factor, self._bucket_size
+    def __init__(
+        self, params: FilterParams, bucket_size: int = DEFAULT_BUCKET_SIZE, **kwargs
+    ) -> None:
+        super().__init__(params, bucket_size, **kwargs)
+        _, self._chunk_len = vacuum_geometry(
+            params.capacity, params.load_factor, bucket_size
         )
-        return num_buckets
+
+    @classmethod
+    def _geometry(cls, params: FilterParams, bucket_size: int) -> int:
+        return vacuum_geometry(params.capacity, params.load_factor, bucket_size)[0]
 
     @property
     def chunk_len(self) -> int:

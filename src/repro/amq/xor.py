@@ -31,13 +31,14 @@ from __future__ import annotations
 import math
 from typing import List, Sequence
 
+import numpy as np
+
 from repro import obs
 from repro.amq import bitpack, peel
 from repro.amq.base import AMQFilter, FilterParams
 from repro.amq.hashing import (
     VECTOR_MIN_BATCH,
     hash64,
-    np,
     splitmix64,
     xor_hashes_np,
 )
@@ -68,10 +69,7 @@ class XorFilter(AMQFilter):
         super().__init__(params)
         self._fp_bits = xor_fingerprint_bits(params.fpp)
         self._slots = xor_slot_count(params.capacity)
-        if np is not None:
-            self._table = np.zeros(self._slots, dtype=np.uint64)
-        else:
-            self._table = [0] * self._slots
+        self._table = np.zeros(self._slots, dtype=np.uint64)
         self._items: List[bytes] = []
         self._dirty = False
         self._construction_seed = 0
@@ -134,7 +132,7 @@ class XorFilter(AMQFilter):
 
     def _try_build(self, construction_seed: int) -> bool:
         items = self._build_items
-        if np is None or peel.scalar_spec_active() or len(items) < VECTOR_MIN_BATCH:
+        if peel.scalar_spec_active() or len(items) < VECTOR_MIN_BATCH:
             triples = [self._hashes(item, construction_seed) for item in items]
             table = peel.peel_spec(triples, self._slots)
         else:
@@ -147,10 +145,7 @@ class XorFilter(AMQFilter):
             table = peel.peel_arrays(h0, h1, h2, fp, self._slots, self._fp_bits)
         if table is None:
             return False  # 2-core remained; retry with another seed
-        if np is not None:
-            self._table[:] = table
-        else:
-            self._table = table
+        self._table[:] = table
         return True
 
     # -- AMQFilter interface ---------------------------------------------------------
@@ -195,7 +190,7 @@ class XorFilter(AMQFilter):
     def _contains_batch(self, items: Sequence[bytes]) -> List[bool]:
         if self._dirty:
             self._rebuild()
-        if np is None or len(items) < VECTOR_MIN_BATCH:
+        if len(items) < VECTOR_MIN_BATCH:
             return super()._contains_batch(items)
         h0, h1, h2, fp = xor_hashes_np(
             items,
@@ -291,10 +286,7 @@ class XorFilter(AMQFilter):
             table = bitpack.unpack_uniform(payload[5:], filt._slots, filt._fp_bits)
         except ValueError as exc:
             raise FilterSerializationError(str(exc)) from exc
-        if np is not None:
-            filt._table[:] = table
-        else:
-            filt._table = list(table)
+        filt._table[:] = table
         filt._dirty = False
         # Items are not transported; a deserialized filter is query-only
         # in the sense that any insert triggers a from-scratch rebuild of

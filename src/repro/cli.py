@@ -19,7 +19,6 @@ import time
 from typing import Callable, Dict
 
 from repro._version import __version__
-from repro.errors import ConfigurationError
 
 
 def _run_table1(args) -> None:
@@ -111,18 +110,12 @@ def _run_fig5(args) -> None:
         print()
         _run_fig5_right(args)
         return
-    try:
-        from repro.webmodel.cohort import (
-            CohortConfig,
-            cohort_json_doc,
-            format_cohort,
-            run_cohort,
-        )
-    except ImportError as exc:
-        raise ConfigurationError(
-            "'fig5 --cohort' needs numpy (the columnar engine has no "
-            "scalar fallback); run the per-session fig5 panels instead"
-        ) from exc
+    from repro.webmodel.cohort import (
+        CohortConfig,
+        cohort_json_doc,
+        format_cohort,
+        run_cohort,
+    )
 
     config = CohortConfig(
         num_users=args.users,

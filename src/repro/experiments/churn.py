@@ -58,7 +58,7 @@ class ChurnExperimentConfig:
     staleness_levels: Tuple[int, ...] = (1, 2, 4, 8)
     trials: int = 2
     base: ChurnConfig = field(default_factory=ChurnConfig)
-    #: Cohort population per cell (columns, not the world's fleet knob).
+    #: Cohort population per cell (columns).
     clients: int = 64
     handshakes_per_client: int = 2
     engine: str = "columnar"

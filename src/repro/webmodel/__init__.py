@@ -27,13 +27,7 @@ from repro.webmodel.session_sim import (
     SessionResult,
     BrowsingSessionSimulator,
 )
-from repro.webmodel.churn import (
-    ChurnConfig,
-    ChurnEngine,
-    ChurnResult,
-    StepMetrics,
-    run_churn,
-)
+from repro.webmodel.churn import ChurnConfig, ChurnResult, StepMetrics
 from repro.webmodel.nonweb import (
     ScenarioConfig,
     ScenarioResult,
@@ -60,10 +54,8 @@ __all__ = [
     "SessionResult",
     "BrowsingSessionSimulator",
     "ChurnConfig",
-    "ChurnEngine",
     "ChurnResult",
     "StepMetrics",
-    "run_churn",
     "ScenarioConfig",
     "ScenarioResult",
     "simulate_scenario",

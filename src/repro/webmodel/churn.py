@@ -1,31 +1,28 @@
-"""PKI-lifecycle churn engine.
+"""PKI-lifecycle churn model: the shared world and its metric types.
 
 The paper's §4.2 dynamic-updates assumption ("the filter supports dynamic
 updates") is trivially true for a static ICA population; the Web PKI is
-not static. This module evolves a synthetic CA ecosystem step by step —
-new ICA issuance, expiry, CRL-driven revocation, cross-signing (distinct
-certificates for one subject/key), and preload-list drift — and drives a
-fleet of clients (each an :class:`~repro.core.cache.ICACache` +
-:class:`~repro.core.manager.FilterManager`) through real handshakes
-against servers whose chains reference both fresh and stale ICAs.
+not static. :class:`ChurnWorld` evolves a synthetic CA ecosystem step by
+step — new ICA issuance, expiry, CRL-driven revocation, cross-signing
+(distinct certificates for one subject/key), and site rotation — and the
+churn engines attach a client population to it (which also takes the
+periodic preload-list refresh, the CCADB drift model): the columnar cohort
+engine in :mod:`repro.webmodel.churn_columnar` and its executable scalar
+spec in :mod:`repro.webmodel.churn_reference`. Both drive the *identical*
+lifecycle event stream (same ``churn.events`` RNG draws, same
+issuance/cross-sign/revoke/rotate ordering).
 
 The load-bearing knob is **advertised-payload staleness**: a client's
-*filter* tracks its cache exactly (the manager's contract), but the
-serialized payload it attaches to ClientHellos is only re-captured every
-``payload_refresh_every`` steps, the way a real client amortizes filter
-serialization across connections. A revoked ICA therefore lingers in the
-advertised payload after cache + filter dropped it; a server still serving
-that ICA (rotation lags revocation by ``rotation_lag_steps``) suppresses
-it, the client cannot complete the path, and the handshake pays the
-paper's false-positive retry. The engine measures how suppression rate,
-FP-retry rate and bytes-on-wire degrade as that staleness grows.
-
-The ecosystem mutation phase lives in :class:`ChurnWorld` so that other
-engines — notably the columnar cohort engine in
-:mod:`repro.webmodel.churn_columnar` and its scalar reference — can drive
-the *identical* lifecycle event stream (same ``churn.events`` RNG draws,
-same issuance/cross-sign/revoke/rotate ordering) without the per-client
-fleet this module attaches to it.
+*filter* tracks its cache exactly, but the serialized payload it attaches
+to ClientHellos is only re-captured every ``payload_refresh_every`` steps,
+the way a real client amortizes filter serialization across connections.
+A revoked ICA therefore lingers in the advertised payload after the cache
+dropped it; a server still serving that ICA (rotation lags revocation by
+``rotation_lag_steps``) suppresses it, the client cannot complete the
+path, and the handshake pays the paper's false-positive retry. The
+engines measure how suppression rate, FP-retry rate and bytes-on-wire
+degrade as that staleness grows, as a :class:`ChurnResult` of per-step
+:class:`StepMetrics`.
 
 Everything is a pure function of :class:`ChurnConfig`: all randomness is
 drawn from :func:`~repro.runtime.parallel.derive_seed` streams, so one
@@ -40,10 +37,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro import obs
-from repro.core.cache import ICACache
-from repro.core.extension import build_extension_payload
-from repro.core.filter_config import plan_filter
-from repro.core.manager import FilterManager
 from repro.core.suppression import ServerSuppressor
 from repro.errors import SimulationError
 from repro.pki.authority import (
@@ -57,9 +50,6 @@ from repro.pki.keys import KeyPair
 from repro.pki.revocation import RevocationList
 from repro.pki.store import TrustStore
 from repro.runtime.parallel import derive_seed
-from repro.tls.client import ClientConfig
-from repro.tls.server import ServerConfig
-from repro.tls.session import HandshakeOutcome, run_handshake
 
 
 @dataclass(frozen=True)
@@ -73,8 +63,6 @@ class ChurnConfig:
     num_roots: int = 2
     initial_icas: int = 10
     num_sites: int = 12
-    num_clients: int = 4
-    handshakes_per_step: int = 8
     #: Expected new ICAs per step (fractional part drawn Bernoulli).
     issuance_rate: float = 0.4
     #: Expected revocations per step.
@@ -235,45 +223,14 @@ class _Site:
     rotate_at: Optional[int] = None
 
 
-class _ChurnClient:
-    """One client: live cache + managed filter, stale advertised payload."""
-
-    def __init__(
-        self, index: int, config: ChurnConfig, initial: List[Certificate]
-    ) -> None:
-        self.index = index
-        self.cache = ICACache()
-        self.cache.add_many(initial)
-        plan = plan_filter(
-            num_icas=max(1, len(self.cache)),
-            filter_kind=config.filter_kind,
-            fpp=config.fpp,
-            load_factor=config.load_factor,
-            budget_bytes=None,
-            seed=config.seed,
-            headroom=2.0,
-        )
-        self.manager = FilterManager(self.cache, plan)
-        self.advertised_payload: bytes = b""
-        self.advertised_fps: frozenset = frozenset()
-        self.refresh_payload()
-
-    def refresh_payload(self) -> None:
-        self.advertised_payload = build_extension_payload(self.manager.filter)
-        self.advertised_fps = frozenset(self.cache.fingerprints())
-
-    def payload_is_stale(self) -> bool:
-        return self.advertised_fps != frozenset(self.cache.fingerprints())
-
-
 class ChurnWorld:
     """The CA-ecosystem half of the simulation: roots, ICA records, CRL,
     serving sites, and the per-step mutation phase (issue → cross-sign →
     revoke → rotate) driven by the ``churn.events`` RNG stream.
 
-    A world is client-free on purpose: the fleet engine below and the
-    columnar cohort engine both attach their own client models to one of
-    these, and because every draw comes from
+    A world is client-free on purpose: the columnar cohort engine and its
+    scalar spec both attach their own client models to one of these, and
+    because every draw comes from
     :func:`~repro.runtime.parallel.derive_seed` streams keyed only by
     (config.seed, step), two worlds built from one config replay the
     identical event stream whatever consumes them.
@@ -501,206 +458,10 @@ class ChurnWorld:
         return issued, cross_signed, revoked, rotations
 
 
-class ChurnEngine:
-    """Deterministic, time-stepped PKI lifecycle simulation: a
-    :class:`ChurnWorld` plus a small fleet of stateful clients, every
-    handshake run one at a time through the real TLS machine."""
-
-    def __init__(self, config: ChurnConfig = ChurnConfig()) -> None:
-        if config.steps < 1:
-            raise SimulationError(f"steps must be >= 1, got {config.steps}")
-        if config.payload_refresh_every < 1:
-            raise SimulationError(
-                f"payload_refresh_every must be >= 1, got "
-                f"{config.payload_refresh_every}"
-            )
-        if config.distribution != "full":
-            # Delta distribution is modeled by the cohort engines (shared
-            # ChurnCohortState), whose generation structure defines which
-            # clients refresh per step; this per-handshake fleet has no
-            # such structure to meter against.
-            raise SimulationError(
-                "the fleet churn engine only supports distribution='full'; "
-                "use the columnar or scalar cohort engines for "
-                f"{config.distribution!r}"
-            )
-        self.config = config
-        self.world = ChurnWorld(config)
-        initial_certs = self.world.initial_certificates()
-        self.clients = [
-            _ChurnClient(i, config, initial_certs)
-            for i in range(config.num_clients)
-        ]
-
-    # The world owns the ecosystem state; these aliases keep the engine's
-    # historical surface (tests and callers inspect them directly).
-
-    @property
-    def events(self) -> List[Tuple[int, str, str]]:
-        return self.world.events
-
-    @property
-    def roots(self):
-        return self.world.roots
-
-    @property
-    def trust_store(self) -> TrustStore:
-        return self.world.trust_store
-
-    @property
-    def crl(self) -> RevocationList:
-        return self.world.crl
-
-    @property
-    def records(self) -> List[_ICARecord]:
-        return self.world.records
-
-    @property
-    def sites(self) -> List[_Site]:
-        return self.world.sites
-
-    @property
-    def server_suppressor(self) -> ServerSuppressor:
-        return self.world.server_suppressor
-
-    # -- per-step work -------------------------------------------------------------
-
-    def _learn(self, client: _ChurnClient, chain: CertificateChain) -> None:
-        # A client that evicted an ICA for revocation must not re-learn it
-        # from the wire while the serving site lags its rotation.
-        fresh = [
-            cert
-            for cert in chain.intermediates
-            if not self.crl.is_revoked(cert) and cert not in client.cache
-        ]
-        if fresh:
-            client.cache.add_many(fresh)
-
-    def run_step(self, step: int) -> StepMetrics:
-        cfg = self.config
-        at_time = step * cfg.step_seconds
-        issued, cross_signed, revoked, rotations = self.world.advance(step)
-
-        expired_swept = 0
-        for client in self.clients:
-            expired_swept += client.cache.sweep_expired(at_time)
-            client.cache.apply_revocations(self.crl)
-
-        preload_added = 0
-        if step and step % cfg.preload_refresh_every == 0:
-            live = self.world.live_certificates(step)
-            for client in self.clients:
-                preload_added += client.cache.add_many(
-                    [cert for cert in live if cert not in client.cache]
-                )
-            self.events.append((step, "preload-refresh", f"added={preload_added}"))
-
-        payload_refreshes = 0
-        for client in self.clients:
-            if (step + client.index) % cfg.payload_refresh_every == 0:
-                client.refresh_payload()
-                payload_refreshes += 1
-
-        (
-            handshakes,
-            completed,
-            fp_retries,
-            fallbacks,
-            failures,
-            stale_advertised,
-            encountered,
-            suppressed,
-            wire_bytes,
-        ) = self._run_handshakes(step)
-
-        metrics = StepMetrics(
-            step=step,
-            icas_issued=issued,
-            icas_cross_signed=cross_signed,
-            icas_revoked=revoked,
-            icas_expired_swept=expired_swept,
-            preload_added=preload_added,
-            payload_refreshes=payload_refreshes,
-            site_rotations=rotations,
-            handshakes=handshakes,
-            completed=completed,
-            fp_retries=fp_retries,
-            fallbacks=fallbacks,
-            failures=failures,
-            stale_advertised=stale_advertised,
-            icas_encountered=encountered,
-            icas_suppressed=suppressed,
-            wire_bytes=wire_bytes,
-        )
-        record_churn_step(metrics)
-        return metrics
-
-    def _run_handshakes(self, step: int):
-        cfg = self.config
-        at_time = step * cfg.step_seconds
-        handshakes = completed = fp_retries = fallbacks = failures = 0
-        stale_advertised = encountered = suppressed = wire_bytes = 0
-        for h in range(cfg.handshakes_per_step):
-            rng = random.Random(derive_seed("churn.handshake", cfg.seed, step, h))
-            client = self.clients[rng.randrange(len(self.clients))]
-            site = self.sites[rng.randrange(len(self.sites))]
-            client_config = ClientConfig(
-                trust_store=self.trust_store,
-                kem_name=cfg.kem_name,
-                hostname=site.hostname,
-                at_time=at_time,
-                ica_filter_payload=client.advertised_payload,
-                issuer_lookup=client.cache.lookup_issuer,
-                seed=derive_seed("churn.client", cfg.seed, step, h),
-            )
-            server_config = ServerConfig(
-                credential=site.credential,
-                suppression_handler=self.server_suppressor,
-                seed=derive_seed("churn.server", cfg.seed, step, h),
-            )
-            trace = run_handshake(client_config, server_config)
-            handshakes += 1
-            if client.payload_is_stale():
-                stale_advertised += 1
-            chain = site.credential.chain
-            encountered += chain.num_icas
-            suppressed += trace.attempts[0].suppressed_ica_count
-            wire_bytes += trace.total_wire_bytes
-            if trace.outcome is HandshakeOutcome.COMPLETED_AFTER_RETRY:
-                fp_retries += 1
-            elif trace.outcome is HandshakeOutcome.COMPLETED_AFTER_FALLBACK:
-                fallbacks += 1
-            if trace.succeeded:
-                completed += 1
-                self._learn(client, chain)
-            else:
-                failures += 1
-        return (
-            handshakes,
-            completed,
-            fp_retries,
-            fallbacks,
-            failures,
-            stale_advertised,
-            encountered,
-            suppressed,
-            wire_bytes,
-        )
-
-    def run(self) -> ChurnResult:
-        steps = []
-        with obs.span(
-            "webmodel.churn.run", (("filter", self.config.filter_kind),)
-        ):
-            for step in range(self.config.steps):
-                steps.append(self.run_step(step))
-        return ChurnResult(config=self.config, steps=steps, events=self.events)
-
-
 def record_churn_step(m: StepMetrics) -> None:
     """Emit the ``webmodel.churn.*`` counters of one step.
 
-    Shared by every churn engine (fleet, columnar, scalar reference):
+    Shared by both churn engines (columnar and scalar reference):
     counters are pure sums over :class:`StepMetrics` fields, so equal
     metric series yield equal counters whichever engine — and whichever
     ``--jobs`` sharding, via the metered merge — produced them.
@@ -723,9 +484,3 @@ def record_churn_step(m: StepMetrics) -> None:
     reg.inc("webmodel.churn.icas_encountered", m.icas_encountered)
     reg.inc("webmodel.churn.icas_suppressed", m.icas_suppressed)
     reg.inc("webmodel.churn.distribution_bytes", m.distribution_bytes)
-
-
-def run_churn(config: ChurnConfig = ChurnConfig()) -> ChurnResult:
-    """Build a fresh engine and run it (one call = one pure function of
-    ``config``; the churn experiment's parallel cells use this)."""
-    return ChurnEngine(config).run()

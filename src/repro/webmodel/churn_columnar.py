@@ -1,33 +1,30 @@
 """Columnar time-stepped churn engine: staleness sweeps on the column machine.
 
-:mod:`repro.webmodel.churn` advances a handful of clients through the
-scalar TLS machine one handshake at a time — faithful, but the slowest
-path left in the repo once the cohort engine (PR 6) vectorized Fig. 5.
-This module ports the churn sweep onto the same column machine: N clients
-advance as numpy columns across churn *epochs* (the world's steps), and
-the per-epoch handshake work collapses from ``N × slots`` scalar TLS
-sessions to one bulk membership probe per payload *generation* plus one
-representative handshake per distinct ``(generation, site)`` context.
+This is the churn sweep on the same column machine as the Fig. 5 cohort
+engine (:mod:`repro.webmodel.cohort`): N clients advance as numpy columns
+across churn *epochs* (the world's steps), and the per-epoch handshake
+work collapses from ``N × slots`` scalar TLS sessions to one bulk
+membership probe per payload *generation* plus one representative
+handshake per distinct ``(generation, site)`` context.
 
-**The churn cohort protocol.** Both this engine and the scalar reference
-(:mod:`repro.webmodel.churn_reference`) implement the exact same model,
-which deliberately simplifies the fleet engine's per-client caches into a
-cohort-wide canonical trajectory so that it vectorizes:
+**The churn cohort protocol.** Both this engine and its executable scalar
+spec (:mod:`repro.webmodel.churn_reference`) implement the exact same
+model, which pools per-client caches into a cohort-wide canonical
+trajectory so that it vectorizes:
 
 * One :class:`~repro.webmodel.churn.ChurnWorld` supplies the lifecycle
   event stream (issuance / cross-sign / revoke / rotate), byte-identical
-  to the fleet engine's because the world is shared code and RNG streams.
+  across engines because the world is shared code and RNG streams.
 * One canonical :class:`~repro.core.cache.ICACache` stands for every
   client's cache: per epoch it sweeps expiries, applies the CRL, takes
   the periodic preload refresh, and at epoch end learns the ICAs of every
   site that completed at least one handshake (ascending site order,
-  deduplicated) — the pooled analogue of the fleet engine's per-client
-  learn-on-success.
+  deduplicated) — the pooled form of per-client learn-on-success.
 * Clients split into ``k = payload_refresh_every`` payload *generations*
   by ``client % k``.  At epoch ``t`` generation ``(-t) mod k`` re-captures
-  its advertised wire image from the canonical cache (the same cadence as
-  the fleet engine's ``(step + index) % k == 0``); the other generations
-  keep serving their stale capture.  Staleness is therefore a *generation*
+  its advertised wire image from the canonical cache (client ``c``
+  refreshes when ``(t + c) % k == 0``); the other generations keep
+  serving their stale capture.  Staleness is therefore a *generation*
   property, which is what lets a whole bucket share one filter image and
   one bulk probe.
 * Per epoch, each client draws ``handshakes_per_client`` target sites
@@ -105,9 +102,8 @@ class ChurnCohortConfig:
 
     ``world`` carries every ecosystem knob (steps become the cohort's
     epochs; ``payload_refresh_every`` becomes the generation count); the
-    world's own ``num_clients``/``handshakes_per_step`` fleet knobs are
-    ignored here — the cohort's population is ``num_clients`` columns
-    drawing ``handshakes_per_client`` sites per epoch.
+    cohort's population is ``num_clients`` columns drawing
+    ``handshakes_per_client`` sites per epoch.
     """
 
     world: ChurnConfig = field(default_factory=ChurnConfig)
@@ -193,9 +189,8 @@ def capture_wire_image(
     capture), memoized by content in :data:`artifacts.CHURN_IMAGES`.
 
     Capacity is re-planned per capture as a pure function of the current
-    fingerprint count (2x headroom, like the fleet engine's client
-    construction): the canonical cache grows across a long run, and a
-    capacity frozen at step 0 would overflow.  Cache hits replay the
+    fingerprint count (2x headroom): the canonical cache grows across a
+    long run, and a capacity frozen at step 0 would overflow.  Cache hits replay the
     build's obs-counter deltas so ``amq.*`` counters stay a pure function
     of the capture sequence, not of which process built the image first.
     """
@@ -415,8 +410,8 @@ class ChurnCohortState:
 
     def stale_generations(self) -> List[bool]:
         """Which generations' captured fingerprint sets no longer match
-        the canonical cache (the per-handshake ``payload_is_stale`` of
-        the fleet engine, hoisted to generation granularity)."""
+        the canonical cache (a per-handshake staleness check hoisted
+        to generation granularity)."""
         live = frozenset(self.cache.fingerprints())
         return [captured != live for _, captured in self.captures]
 
@@ -431,7 +426,7 @@ class ChurnCohortState:
         """Epoch-end pooled learning: the canonical cache absorbs every
         fresh, unrevoked ICA served by a site that completed at least one
         handshake this epoch (ascending site order, deduplicated) — the
-        cohort analogue of the fleet engine's per-success ``_learn``."""
+        cohort form of per-client learn-on-success."""
         fresh = []
         seen: Set[bytes] = set()
         for index in sorted(succeeded_sites):
@@ -474,7 +469,7 @@ class ChurnCohortState:
 
 def _trace_stats(trace: HandshakeTrace) -> Tuple[int, int, int, int, int, int]:
     """(completed, fp_retries, fallbacks, failures, suppressed, wire_bytes)
-    of one trace — the per-cell accounting of the fleet engine."""
+    of one trace — the per-cell accounting of one handshake."""
     fp_retry = int(trace.outcome is HandshakeOutcome.COMPLETED_AFTER_RETRY)
     fallback = int(trace.outcome is HandshakeOutcome.COMPLETED_AFTER_FALLBACK)
     return (

@@ -109,7 +109,20 @@ def _optimal_geometry(capacity: int, fpp: float) -> "tuple[int, int]":
     return m, k
 
 
-class ReferenceBloomFilter(AMQFilter):
+class _SerializeOnly(AMQFilter):
+    """Reference models only serialize: decoding is the production
+    backends' job."""
+
+    @classmethod
+    def from_bytes(cls, params, payload):  # pragma: no cover
+        raise NotImplementedError("reference models only serialize")
+
+    @classmethod
+    def expected_payload_bytes(cls, params):  # pragma: no cover
+        raise NotImplementedError("reference models only serialize")
+
+
+class ReferenceBloomFilter(_SerializeOnly):
     name = "bloom"
     supports_deletion = False
 
@@ -148,12 +161,8 @@ class ReferenceBloomFilter(AMQFilter):
     def to_bytes(self) -> bytes:
         return bytes(self._array)
 
-    @classmethod
-    def from_bytes(cls, params, payload):  # pragma: no cover - not needed
-        raise NotImplementedError("reference models only serialize")
 
-
-class ReferenceCountingBloomFilter(AMQFilter):
+class ReferenceCountingBloomFilter(_SerializeOnly):
     name = "counting-bloom"
     supports_deletion = True
 
@@ -213,17 +222,13 @@ class ReferenceCountingBloomFilter(AMQFilter):
     def to_bytes(self) -> bytes:
         return self._count.to_bytes(4, "big") + bytes(self._array)
 
-    @classmethod
-    def from_bytes(cls, params, payload):  # pragma: no cover
-        raise NotImplementedError("reference models only serialize")
-
 
 # ---------------------------------------------------------------------------
 # Cuckoo / vacuum references (list-backed two-choice bucket tables)
 # ---------------------------------------------------------------------------
 
 
-class _ReferenceBucketTable(AMQFilter):
+class _ReferenceBucketTable(_SerializeOnly):
     """Shared scalar core of the cuckoo/vacuum references."""
 
     _BUCKET_SIZE = 4
@@ -324,10 +329,6 @@ class _ReferenceBucketTable(AMQFilter):
             return _ss_pack_table(self._table, self._fp_bits)
         return _pack_slots(self._table, self._fp_bits)
 
-    @classmethod
-    def from_bytes(cls, params, payload):  # pragma: no cover
-        raise NotImplementedError("reference models only serialize")
-
 
 class ReferenceCuckooFilter(_ReferenceBucketTable):
     name = "cuckoo"
@@ -363,7 +364,7 @@ class ReferenceVacuumFilter(_ReferenceBucketTable):
 # ---------------------------------------------------------------------------
 
 
-class ReferenceQuotientFilter(AMQFilter):
+class ReferenceQuotientFilter(_SerializeOnly):
     name = "quotient"
     supports_deletion = True
 
@@ -537,10 +538,6 @@ class ReferenceQuotientFilter(AMQFilter):
         out += _pack_slots(self._rem, self._r_bits)
         return bytes(out)
 
-    @classmethod
-    def from_bytes(cls, params, payload):  # pragma: no cover
-        raise NotImplementedError("reference models only serialize")
-
 
 # ---------------------------------------------------------------------------
 # XOR reference
@@ -549,7 +546,7 @@ class ReferenceQuotientFilter(AMQFilter):
 _XOR_MAX_ATTEMPTS = 64
 
 
-class ReferenceXorFilter(AMQFilter):
+class ReferenceXorFilter(_SerializeOnly):
     name = "xor"
     supports_deletion = False
 
@@ -648,10 +645,6 @@ class ReferenceXorFilter(AMQFilter):
             4, "big"
         )
         return bytes(header) + _pack_slots(self._table, self._fp_bits)
-
-    @classmethod
-    def from_bytes(cls, params, payload):  # pragma: no cover
-        raise NotImplementedError("reference models only serialize")
 
 
 #: Production name -> frozen reference model.

@@ -17,13 +17,11 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.amq import FilterParams, canonical_params, peel
 from repro.amq import xor as xor_module
-from repro.amq.hashing import VECTOR_MIN_BATCH, np, xor_hashes_np
+from repro.amq.hashing import VECTOR_MIN_BATCH, xor_hashes_np
 from repro.amq.xor import XorFilter
 from repro.errors import FilterFullError
 
 from tests.amq._reference import ReferenceXorFilter
-
-pytestmark = pytest.mark.skipif(np is None, reason="engine tests need numpy")
 
 relaxed = settings(
     max_examples=20,
@@ -184,34 +182,6 @@ class TestEngineMatchesSpec:
         with peel.scalar_spec_mode():
             assert spec_filt.to_bytes() == image
         assert not peel.scalar_spec_active()
-
-
-# ---------------------------------------------------------------------------
-# numpy-absent fallback
-# ---------------------------------------------------------------------------
-
-
-class TestPurePythonFallback:
-    @relaxed
-    @given(
-        n=st.integers(min_value=0, max_value=200),
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    def test_numpy_absent_matches_reference(self, n, seed):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(xor_module, "np", None)
-            mp.setattr(peel, "np", None)
-            params = make_params(max(n, 1), seed=seed)
-            items = items_for(n, b"nonp")
-            filt = XorFilter(params)
-            ref = ReferenceXorFilter(params)
-            if items:
-                filt.insert_batch(items)
-                ref.insert_batch(items)
-            assert isinstance(filt._table, list)  # no array allocation
-            probes = items[:50] + [b"missing-%d" % i for i in range(50)]
-            assert filt.contains_batch(probes) == ref.contains_batch(probes)
-            assert filt.to_bytes() == ref.to_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,22 @@ class TestRejection:
             deserialize_filter(bad)
 
 
+class TestExpectedPayloadBytes:
+    """``expected_payload_bytes`` derives the payload size from geometry
+    without building the filter; it must agree with what a built filter
+    actually serializes to."""
+
+    @pytest.mark.parametrize("cls", list(FILTER_REGISTRY.values()),
+                             ids=lambda c: c.name)
+    @pytest.mark.parametrize("capacity", [1, 245, 1000])
+    @pytest.mark.parametrize("fpp", [0.9, 0.3, 1e-3, 1e-6])
+    def test_matches_built_filter(self, cls, capacity, fpp):
+        params = canonical_params(
+            FilterParams(capacity=capacity, fpp=fpp, load_factor=0.9, seed=3)
+        )
+        assert cls.expected_payload_bytes(params) == len(cls(params).to_bytes())
+
+
 class TestSeedWidth:
     """Regression: the wire header's seed field is 32 bits, and
     ``serialize_filter`` used to truncate wider seeds silently — the peer

@@ -14,10 +14,17 @@ Two different hardness contracts, tested separately:
   geometry matches its payload; no foreign exception, no crash, ever.
 """
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.amq import (
     FILTER_REGISTRY,
     DeltaPublisher,
@@ -139,6 +146,59 @@ class TestAMQImageHardness:
                 # A surviving decode (seed bits, tolerated header slack)
                 # must still be internally consistent.
                 assert serialize_filter(filt)
+
+    def test_header_bit_flips_fit_a_small_address_space(self, rng):
+        """A header may claim a table of gigabytes while carrying a few
+        bytes of payload. Geometry must be checked against the payload
+        before anything is allocated, so every header bit flip of every
+        family decodes or fails within a 512 MiB address space."""
+        resource = pytest.importorskip("resource")
+        limit = 512 * 1024 * 1024
+        images = [_image(rng, name).hex() for name in FAMILIES]
+        child = textwrap.dedent(
+            """
+            import json, sys
+            from repro.amq import deserialize_filter, serialize_filter
+            from repro.amq.serialization import serialized_overhead_bytes
+            from repro.errors import FilterSerializationError
+
+            memory_errors = 0
+            for image in json.load(sys.stdin):
+                wire = bytes.fromhex(image)
+                for byte_index in range(serialized_overhead_bytes()):
+                    for bit in range(8):
+                        corrupt = bytearray(wire)
+                        corrupt[byte_index] ^= 1 << bit
+                        try:
+                            serialize_filter(deserialize_filter(bytes(corrupt)))
+                        except FilterSerializationError:
+                            pass
+                        except MemoryError:
+                            memory_errors += 1
+            print(memory_errors)
+            """
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(
+            os.environ,
+            OPENBLAS_NUM_THREADS="1",
+            PYTHONPATH=os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])
+            ),
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", child],
+            input=json.dumps(images),
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+            preexec_fn=lambda: resource.setrlimit(
+                resource.RLIMIT_AS, (limit, limit)
+            ),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) == 0, "header flips raised MemoryError"
 
     @pytest.mark.parametrize("name", FAMILIES)
     def test_payload_bit_flips_contained(self, rng, name):

@@ -21,7 +21,7 @@ from repro.webmodel.churn import ChurnConfig
 _SMALL = ChurnExperimentConfig(
     staleness_levels=(1, 4),
     trials=2,
-    base=ChurnConfig(steps=6, num_sites=6, num_clients=2, handshakes_per_step=4),
+    base=ChurnConfig(steps=6, num_sites=6),
     clients=12,
     handshakes_per_client=2,
 )

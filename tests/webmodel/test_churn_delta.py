@@ -15,7 +15,7 @@ import pytest
 
 from repro import obs
 from repro.errors import SimulationError
-from repro.webmodel.churn import ChurnConfig, ChurnEngine
+from repro.webmodel.churn import ChurnConfig
 from repro.webmodel.churn_columnar import (
     ChurnCohortConfig,
     run_churn_cohort,
@@ -40,15 +40,6 @@ class TestConfigValidation:
     def test_unknown_distribution_rejected(self):
         with pytest.raises(SimulationError, match="distribution"):
             _cfg("gossip")
-
-    def test_fleet_engine_rejects_delta(self):
-        # The per-handshake fleet engine has no publisher wiring; only
-        # the cohort engines model the update channel.
-        with pytest.raises(SimulationError, match="cohort"):
-            ChurnEngine(ChurnConfig(steps=2, distribution="delta"))
-
-    def test_fleet_engine_accepts_full(self):
-        ChurnEngine(ChurnConfig(steps=2, distribution="full"))
 
 
 class TestDifferential:

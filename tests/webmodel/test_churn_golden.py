@@ -15,14 +15,12 @@ import os
 
 import pytest
 
-pytest.importorskip("numpy")
-
-from repro.webmodel.churn import ChurnConfig  # noqa: E402
-from repro.webmodel.churn_columnar import (  # noqa: E402
+from repro.webmodel.churn import ChurnConfig
+from repro.webmodel.churn_columnar import (
     ChurnCohortConfig,
     run_churn_cohort,
 )
-from repro.webmodel.churn_reference import run_churn_cohort_reference  # noqa: E402
+from repro.webmodel.churn_reference import run_churn_cohort_reference
 
 GOLDEN_PATH = os.path.join(
     os.path.dirname(__file__), "golden_churn_stats.json"

@@ -9,19 +9,17 @@ the stream key set is derived once and memoized in the shippable cache
 so every worker process agrees on it.
 """
 
-import pytest
+import numpy as np
 
-np = pytest.importorskip("numpy")
-
-from repro.runtime import artifacts  # noqa: E402
-from repro.runtime.parallel import derive_seed  # noqa: E402
-from repro.webmodel.churn_columnar import (  # noqa: E402
+from repro.runtime import artifacts
+from repro.runtime.parallel import derive_seed
+from repro.webmodel.churn_columnar import (
     SITE_STREAM,
     churn_stream_keys,
     epoch_site_column,
     epoch_site_counters,
 )
-from repro.webmodel.cohortrng import (  # noqa: E402
+from repro.webmodel.cohortrng import (
     block_counters,
     stream_key,
     uniforms,

@@ -20,23 +20,22 @@ on all-clean draws.
 
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-np = pytest.importorskip("numpy")
-
-from repro import obs  # noqa: E402
-from repro.errors import SimulationError  # noqa: E402
-from repro.webmodel.churn import ChurnConfig  # noqa: E402
-from repro.webmodel.churn_columnar import (  # noqa: E402
+from repro import obs
+from repro.errors import SimulationError
+from repro.webmodel.churn import ChurnConfig
+from repro.webmodel.churn_columnar import (
     ChurnCohortConfig,
     capture_wire_image,
     generation_size,
     probe_image,
     run_churn_cohort,
 )
-from repro.webmodel.churn_reference import run_churn_cohort_reference  # noqa: E402
+from repro.webmodel.churn_reference import run_churn_cohort_reference
 
 
 def _config(**overrides):

@@ -16,10 +16,8 @@ import pytest
 
 from tests._fixtures import reduced_population_config, shared_population
 
-pytest.importorskip("numpy")
-
-from repro.webmodel.cohort import CohortConfig, run_cohort  # noqa: E402
-from repro.webmodel.cohort_reference import run_cohort_reference  # noqa: E402
+from repro.webmodel.cohort import CohortConfig, run_cohort
+from repro.webmodel.cohort_reference import run_cohort_reference
 
 GOLDEN_PATH = os.path.join(
     os.path.dirname(__file__), "golden_cohort_stats.json"

@@ -13,13 +13,11 @@ import pytest
 
 from tests._fixtures import reduced_population_config, shared_population
 
-pytest.importorskip("numpy")
-
-from repro import obs  # noqa: E402
-from repro.obs.export import deterministic_counters  # noqa: E402
-from repro.runtime import artifacts  # noqa: E402
-from repro.webmodel.cohort import CohortConfig, run_cohort  # noqa: E402
-from repro.webmodel.cohort_reference import run_cohort_reference  # noqa: E402
+from repro import obs
+from repro.obs.export import deterministic_counters
+from repro.runtime import artifacts
+from repro.webmodel.cohort import CohortConfig, run_cohort
+from repro.webmodel.cohort_reference import run_cohort_reference
 
 CONFIG = dict(
     num_users=40,

@@ -17,17 +17,16 @@ here:
   (export/import is how worker processes inherit them).
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests._fixtures import reduced_population_config, shared_population
 
-np = pytest.importorskip("numpy")
-
-from repro.runtime import artifacts  # noqa: E402
-from repro.webmodel import cohortrng  # noqa: E402
-from repro.webmodel.cohort import (  # noqa: E402
+from repro.runtime import artifacts
+from repro.webmodel import cohortrng
+from repro.webmodel.cohort import (
     CohortConfig,
     cohort_stream_keys,
     run_cohort,

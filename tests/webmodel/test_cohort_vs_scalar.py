@@ -19,20 +19,19 @@ slow path) are exercised, not just the all-fast-path case.
 
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tests._fixtures import reduced_population_config, shared_population
 
-np = pytest.importorskip("numpy")
-
-from repro.webmodel.cohort import (  # noqa: E402
+from repro.webmodel.cohort import (
     CohortConfig,
     cohort_json_doc,
     run_cohort,
 )
-from repro.webmodel.cohort_reference import run_cohort_reference  # noqa: E402
+from repro.webmodel.cohort_reference import run_cohort_reference
 
 MONTHS = ("Jun. '22", "Jan. '22")
 #: Small hot head => probes against unknown-ICA paths are common; the
