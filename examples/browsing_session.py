@@ -2,10 +2,10 @@
 """A user browsing the web over PQ TLS — the paper's §5.3 scenario.
 
 Simulates a user visiting domains from a synthetic Tranco-style ranking
-(Zipf-1.9 visits, Pareto-2.5 pages, third-party content), running a real
-TLS handshake with ICA suppression against every unique destination, then
-prints the Fig. 5 style summary: data saved per algorithm, TTFB impact,
-false positives.
+(Zipf-1.9 visits, Pareto-2.5 pages, third-party content), with one
+ICA-suppressed handshake against every unique destination, then prints
+the Fig. 5 style summary: data saved per algorithm, TTFB impact, false
+positives.
 
 Run:  python examples/browsing_session.py [num_domains]
 """
@@ -39,6 +39,7 @@ print(
     f"({1000 * (sphincs_full.p99 - sphincs_sup.p99):.0f} ms saved in the tail)"
 )
 print(
-    f"server-side filter stats: {simulator.server_suppressor.lookups} lookups, "
-    f"{simulator.server_suppressor.hits} suppression hits"
+    f"server-side filter stats: {sum(r.total_icas for r in results)} lookups, "
+    f"{sum(o.suppressed_count for r in results for o in r.outcomes)} "
+    "suppression hits"
 )

@@ -19,6 +19,7 @@ import time
 from typing import Callable, Dict
 
 from repro._version import __version__
+from repro.errors import ConfigurationError
 
 
 def _run_table1(args) -> None:
@@ -70,19 +71,11 @@ def _run_fig4(args) -> None:
     print(fig4.format_fpp_sweep(fig4.fpp_sweep()))
 
 
-def _sessions(args):
-    from repro.webmodel.session_sim import BrowsingSessionSimulator, SessionConfig
-
-    sim = BrowsingSessionSimulator(
-        SessionConfig(seed=1, num_domains=args.domains)
-    )
-    return sim.run_many(args.runs, jobs=args.jobs)
-
-
 def _run_fig5_left(args) -> None:
     from repro.experiments import fig5
 
-    print(fig5.format_data_volume(fig5.data_volume(_sessions(args))))
+    results = fig5.run_sessions(args.runs, num_domains=args.domains)
+    print(fig5.format_data_volume(fig5.data_volume(results)))
 
 
 def _run_fig5_center(args) -> None:
@@ -97,7 +90,8 @@ def _run_fig5_center(args) -> None:
 def _run_fig5_right(args) -> None:
     from repro.experiments import fig5
 
-    print(fig5.format_ttfb(fig5.ttfb_scenarios(_sessions(args))))
+    results = fig5.run_sessions(args.runs, num_domains=args.domains)
+    print(fig5.format_ttfb(fig5.ttfb_scenarios(results)))
 
 
 def _run_fig5(args) -> None:
@@ -149,9 +143,7 @@ def _run_ablation_initcwnd(args) -> None:
 def _run_ablation_filters(args) -> None:
     from repro.experiments import ablations
 
-    rows = ablations.filter_choice(
-        num_domains=max(20, args.domains // 2), runs=1, jobs=args.jobs
-    )
+    rows = ablations.filter_choice(num_domains=max(20, args.domains // 2), runs=1)
     print(ablations.format_filter_choice(rows))
 
 
@@ -326,8 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--jobs", type=int, default=0,
         help=(
-            "worker processes for the session-driven artifacts "
-            "(0 = all cores, 1 = serial; results are identical either way)"
+            "worker processes for the sharded artifacts (fig5 --cohort, "
+            "churn, mixed-chains; 0 = all cores, 1 = serial; results are "
+            "identical either way)"
         ),
     )
     parser.add_argument(
@@ -438,7 +431,8 @@ def _export_metrics(path: str) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.artifact == "list":
         for name in sorted(ARTIFACTS):
             print(name)
@@ -467,6 +461,8 @@ def main(argv=None) -> int:
                 print(f"\n[{name} done in {time.perf_counter() - start:.1f}s]")
         if metrics_out:
             _export_metrics(metrics_out)
+    except ConfigurationError as exc:
+        parser.error(str(exc))
     finally:
         if metrics_out and not was_enabled:
             from repro import obs

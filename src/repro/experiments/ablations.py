@@ -117,11 +117,9 @@ def filter_choice(
     runs: int = 2,
     seed: int = 3,
     population: Optional[ICAPopulation] = None,
-    jobs: Optional[int] = 1,
 ) -> List[FilterChoiceRow]:
     """End-to-end browsing impact per structure (one shared population so
-    the workload is identical across rows). ``jobs`` shards each
-    structure's runs across processes (``None``/``0`` = all cores)."""
+    the workload is identical across rows)."""
     population = population or ICAPopulation(PopulationConfig(seed=seed))
     rows = []
     for kind in kinds:
@@ -131,7 +129,7 @@ def filter_choice(
             ),
             population=population,
         )
-        results = sim.run_many(runs, jobs=jobs)
+        results = sim.run_many(runs)
         rows.append(
             FilterChoiceRow(
                 filter_kind=kind,

@@ -49,16 +49,15 @@ def run_sessions(
     num_domains: Optional[int] = None,
     config: Optional[SessionConfig] = None,
     population: Optional[ICAPopulation] = None,
-    jobs: Optional[int] = 1,
 ) -> List[SessionResult]:
     """The shared Fig. 5 simulation: ``runs`` browsing sessions.
 
     ``num_domains`` is a convenience for the default config; combining it
     with an explicit ``config`` whose ``num_domains`` disagrees is a
     conflict and raises (the old behaviour silently rebuilt the config).
-    ``jobs`` shards the runs across processes (``None``/``0`` = all
-    cores).
     """
+    if runs < 1:
+        raise ConfigurationError(f"runs must be >= 1, got {runs}")
     if config is None:
         config = SessionConfig(
             num_domains=PAPER_DOMAINS if num_domains is None else num_domains,
@@ -71,7 +70,14 @@ def run_sessions(
             "or use dataclasses.replace(config, num_domains=...)"
         )
     simulator = BrowsingSessionSimulator(config, population=population)
-    return simulator.run_many(runs, jobs=jobs)
+    return simulator.run_many(runs)
+
+
+def _require_results(results: Sequence[SessionResult]) -> None:
+    """Panel reductions are means over runs: reject an empty run list
+    instead of dividing by zero or summarizing no samples."""
+    if not results:
+        raise ConfigurationError("no session results to summarize (runs >= 1)")
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +121,7 @@ def data_volume(
 ) -> DataVolumeResult:
     from repro.analysis.stats import confidence_interval_95
 
+    _require_results(results)
     n = len(results)
     # ICA counts are algorithm-free; per-cert size is result-free. Compute
     # each once instead of re-resolving the algorithm (and re-walking the
@@ -275,6 +282,7 @@ def ttfb_scenarios(
     results: Sequence[SessionResult],
     algorithms: Sequence[str] = ("rsa-2048", "dilithium5", "sphincs-128f"),
 ) -> List[TTFBScenario]:
+    _require_results(results)
     # Hoist per-scenario constants: the signature algorithm, its CPU cost
     # per KEM, and the TCP model are invariant across results, so resolve
     # them once here rather than inside every ttfb_samples call.

@@ -1,11 +1,11 @@
 """Content-keyed caches for immutable PKI artifacts (the handshake fast path).
 
-The browsing-session engine re-derives the same immutable artifacts
+The per-handshake TLS machine re-derives the same immutable artifacts
 thousands of times per experiment: certificates are re-parsed from
 identical DER bytes on every handshake, chain signatures are re-verified
-although neither the certificates nor the trust anchors changed, OCSP
-staples are re-signed for the same leaf, and every simulator construction
-rebuilds an identical AMQ filter from the same hot-ICA set. All of those
+although neither the certificates nor the trust anchors changed, leaf
+credentials are re-issued for the same domain, and every simulator
+construction rebuilds an identical AMQ filter from the same hot-ICA set. All of those
 are pure functions of their inputs, so this module gives each one a
 bounded, content-keyed cache with hit/miss counters.
 
@@ -158,8 +158,6 @@ VERIFIED_CHAINS = _register(ContentCache("verified_chains", max_entries=16384))
 #: (kind, capacity, fpp, load_factor, seed, items digest) -> serialized
 #: filter image, rehydrated instead of re-inserting every item.
 FILTER_BUILDS = _register(ContentCache("filter_builds", max_entries=64))
-#: (leaf fingerprint, responder key fp, produced_at) -> (staple, SCTs).
-STAPLES = _register(ContentCache("staples", max_entries=8192))
 #: Length profile of a TBSCertificate -> solved attribute-padding length
 #: (the fixed-point loop in ``build_tbs`` otherwise re-assembles the full
 #: TBS several times per issued certificate).

@@ -13,8 +13,10 @@ browsing) with calibrated generative models:
 * :mod:`repro.webmodel.browsing` — the Burklen et al. user model the
   paper cites (Zipf-1.9 domain visits, Pareto-2.5 pages per domain,
   third-party content per page);
-* :mod:`repro.webmodel.session_sim` — the full browsing-session simulator
-  behind Fig. 5.
+* :mod:`repro.webmodel.session_sim` — the browsing-session simulator
+  behind Fig. 5, reading outcomes from the cohort engine's per-path facts;
+* :mod:`repro.webmodel.cohort` — the columnar cohort engine (Fig. 5 at
+  traffic scale).
 """
 
 from repro.webmodel.tranco import DomainRanking

@@ -449,9 +449,10 @@ class ChurnCohortState:
         """One real handshake through the untouched TLS machine, seeded
         exactly as the scalar reference seeds this cell."""
         cfg = self.config.world
-        site = self.world.sites[site_index]
+        world = self.world
+        site = world.sites[site_index]
         client_config = ClientConfig(
-            trust_store=self.world.trust_store,
+            trust_store=world.trust_store,
             kem_name=cfg.kem_name,
             hostname=site.hostname,
             at_time=step * cfg.step_seconds,
@@ -461,7 +462,7 @@ class ChurnCohortState:
         )
         server_config = ServerConfig(
             credential=site.credential,
-            suppression_handler=self.world.server_suppressor,
+            suppression_handler=world.server_suppressor,
             seed=derive_seed("churn.cohort.server", cfg.seed, step, client, slot),
         )
         return run_handshake(client_config, server_config)

@@ -1,20 +1,20 @@
 """Columnar cohort browsing engine — Fig. 5 at traffic scale.
 
-The per-session simulator (:mod:`repro.webmodel.session_sim`) runs one
-real handshake per destination, which tops out around a couple of hundred
-handshakes per second — fine for reproducing the paper's 10x200-domain
-runs, hopeless for the ROADMAP's "millions of users".  This module
-advances a cohort of N users as numpy columns instead:
+The per-handshake TLS machine tops out around a thousand handshakes per
+second, hopeless for "millions of users".  This module advances a cohort
+of N users as numpy columns instead:
 
 * per-user destination draws and RTTs come from the counter-based RNG
   streams of :mod:`repro.webmodel.cohortrng` (pure functions of
   ``(stream key, user * slots + slot)``, so any sharding reproduces them);
 * chain composition is a gather: ``rank -> ICAPath`` is a pure function
   of the population seed, so the engine resolves each *unique* rank once
-  and reads per-path fact columns (depth, ICA bytes, base-filter hits,
-  false-positive flag) for every (user, slot) cell;
+  and reads :class:`PathFacts` columns (depth, ICA bytes, base-filter
+  hits, false-positive flag) for every (user, slot) cell;
 * filter behaviour comes from one bulk ``contains_batch`` probe of the
-  advertised wire image over every path's fingerprints;
+  advertised wire image over every path's fingerprints (the browsing
+  sessions of :mod:`repro.webmodel.session_sim`, which never learn, read
+  their outcomes from the same facts);
 * warm-state/dedup ("already visited this destination"), retry and
   suppression-byte accounting are boolean/int masks and column
   reductions.
@@ -264,16 +264,74 @@ class _BlockPart:
     rtt_s: np.ndarray
 
 
-@dataclass(frozen=True)
-class _PathFacts:
-    """Fact columns per ICA path ordinal (hierarchy path order), under
-    the base (preload) client state."""
+class PathFacts:
+    """Per-ICA-path fact columns under one base (preload) client state.
 
-    depth: np.ndarray
-    nbytes: np.ndarray
-    nhits: np.ndarray
-    supp_bytes: np.ndarray
-    fp: np.ndarray
+    Built from ``(population, base suppressor)``: every hierarchy path's
+    fingerprints go through the base state's advertised wire image in
+    one ``contains_batch`` call and reduce to columns indexed by path
+    ordinal (hierarchy path order).  While a client's cache and
+    advertised filter are still the base state, each column is exactly
+    what a real handshake to any destination on that path observes:
+    ICAs on the path, their bytes, filter hits, the hit bytes, whether a
+    hit is a false positive, and how many ICAs are unknown to the cache.
+    """
+
+    def __init__(self, population: ICAPopulation, base: ClientSuppressor) -> None:
+        self.population = population
+        # The wire image as the server sees it — probed for facts, so a
+        # serialize/deserialize round-trip can never cause drift.
+        probe = parse_extension_payload(base.extension_payload())
+        known = frozenset(base.cache.fingerprints())
+        paths = population.hierarchy.paths
+        self._path_index = {id(path): i for i, path in enumerate(paths)}
+        self._rank_ordinal: Dict[int, int] = {}
+        self.certs: List[list] = [p.ica_certificates() for p in paths]
+        self.fps: List[List[bytes]] = [
+            [cert.fingerprint() for cert in certs] for certs in self.certs
+        ]
+        self.sizes: List[List[int]] = [
+            [cert.size_bytes() for cert in certs] for certs in self.certs
+        ]
+        flat: List[bytes] = []
+        offsets = [0]
+        for fps in self.fps:
+            flat.extend(fps)
+            offsets.append(len(flat))
+        hits = list(probe.contains_batch(flat)) if flat else []
+        num = len(self.fps)
+        self.depth = np.zeros(num, dtype=np.int64)
+        self.nbytes = np.zeros(num, dtype=np.int64)
+        self.nhits = np.zeros(num, dtype=np.int64)
+        self.supp_bytes = np.zeros(num, dtype=np.int64)
+        self.fp = np.zeros(num, dtype=bool)
+        self.unknown = np.zeros(num, dtype=np.int64)
+        for p in range(num):
+            fps = self.fps[p]
+            sizes = self.sizes[p]
+            path_hits = hits[offsets[p] : offsets[p + 1]]
+            self.depth[p] = len(fps)
+            self.nbytes[p] = sum(sizes)
+            self.nhits[p] = sum(1 for h in path_hits if h)
+            self.supp_bytes[p] = sum(s for s, h in zip(sizes, path_hits) if h)
+            self.fp[p] = any(h and f not in known for f, h in zip(fps, path_hits))
+            self.unknown[p] = sum(1 for f in fps if f not in known)
+
+    def ordinal(self, rank: int) -> int:
+        """Path ordinal of ``rank`` (memoized; ``path_for_rank`` is a
+        pure function of (population seed, rank))."""
+        ordinal = self._rank_ordinal.get(rank)
+        if ordinal is None:
+            ordinal = self._path_index[id(self.population.path_for_rank(rank))]
+            self._rank_ordinal[rank] = ordinal
+        return ordinal
+
+    def ordinals(self, ranks: np.ndarray) -> np.ndarray:
+        """Path ordinal per entry of ``ranks``."""
+        lookup = self.ordinal
+        return np.fromiter(
+            (lookup(rank) for rank in ranks.tolist()), dtype=np.int64, count=len(ranks)
+        )
 
 
 def _first_contact_mask(ranks: np.ndarray) -> np.ndarray:
@@ -309,7 +367,7 @@ class CohortEngine:
 
     A custom ``population`` instance not reconstructible from
     ``config.population`` must be run with ``jobs=1`` (workers rebuild
-    from the config, mirroring ``BrowsingSessionSimulator.run_many``).
+    the engine from the config).
     """
 
     def __init__(
@@ -325,7 +383,7 @@ class CohortEngine:
                 f"({self.population.ranking.size})"
             )
         self._hot = self.population.hot_ica_certificates(config.hot_top_n)
-        self._base = ClientSuppressor(
+        base = ClientSuppressor(
             preload=IntermediatePreload(self._hot),
             filter_kind=config.filter_kind,
             fpp=config.fpp,
@@ -333,69 +391,9 @@ class CohortEngine:
             budget_bytes=None,
             seed=config.seed,
         )
-        self._payload = self._base.extension_payload()
-        #: The wire image as the server sees it — probed for facts, so a
-        #: serialize/deserialize round-trip can never cause drift.
-        self._probe = parse_extension_payload(self._payload)
-        self._known = frozenset(self._base.cache.fingerprints())
+        self._payload = base.extension_payload()
+        self._facts = PathFacts(self.population, base)
         self._keys = cohort_stream_keys(config.seed)
-        paths = self.population.hierarchy.paths
-        self._path_index = {id(path): i for i, path in enumerate(paths)}
-        self._path_certs: List[list] = [p.ica_certificates() for p in paths]
-        self._path_fps: List[List[bytes]] = [
-            [cert.fingerprint() for cert in certs] for certs in self._path_certs
-        ]
-        self._path_sizes: List[List[int]] = [
-            [cert.size_bytes() for cert in certs] for certs in self._path_certs
-        ]
-        self._facts = self._build_path_facts()
-        self._rank_ordinal: Dict[int, int] = {}
-
-    # -- facts -----------------------------------------------------------------
-
-    def _build_path_facts(self) -> _PathFacts:
-        """Probe every path's fingerprints through the advertised wire
-        image in one ``contains_batch`` call and reduce to per-path
-        columns."""
-        flat: List[bytes] = []
-        offsets = [0]
-        for fps in self._path_fps:
-            flat.extend(fps)
-            offsets.append(len(flat))
-        hits = list(self._probe.contains_batch(flat)) if flat else []
-        num = len(self._path_fps)
-        depth = np.zeros(num, dtype=np.int64)
-        nbytes = np.zeros(num, dtype=np.int64)
-        nhits = np.zeros(num, dtype=np.int64)
-        supp_bytes = np.zeros(num, dtype=np.int64)
-        fp = np.zeros(num, dtype=bool)
-        for p in range(num):
-            fps = self._path_fps[p]
-            sizes = self._path_sizes[p]
-            path_hits = hits[offsets[p] : offsets[p + 1]]
-            depth[p] = len(fps)
-            nbytes[p] = sum(sizes)
-            nhits[p] = sum(1 for h in path_hits if h)
-            supp_bytes[p] = sum(s for s, h in zip(sizes, path_hits) if h)
-            fp[p] = any(
-                h and f not in self._known for f, h in zip(fps, path_hits)
-            )
-        return _PathFacts(
-            depth=depth, nbytes=nbytes, nhits=nhits, supp_bytes=supp_bytes, fp=fp
-        )
-
-    def _ordinals_for_ranks(self, unique_ranks: np.ndarray) -> np.ndarray:
-        """Path ordinal per unique rank (memoized; ``path_for_rank`` is a
-        pure function of (population seed, rank))."""
-        memo = self._rank_ordinal
-        out = np.empty(len(unique_ranks), dtype=np.int64)
-        for i, rank in enumerate(unique_ranks.tolist()):
-            ordinal = memo.get(rank)
-            if ordinal is None:
-                ordinal = self._path_index[id(self.population.path_for_rank(rank))]
-                memo[rank] = ordinal
-            out[i] = ordinal
-        return out
 
     # -- columnar fast path + replay slow path ---------------------------------
 
@@ -417,7 +415,7 @@ class CohortEngine:
         )
         first = _first_contact_mask(ranks)
         unique_ranks = np.unique(ranks)
-        unique_ordinals = self._ordinals_for_ranks(unique_ranks)
+        unique_ordinals = self._facts.ordinals(unique_ranks)
         ordinals = unique_ordinals[np.searchsorted(unique_ranks, ranks)]
         facts = self._facts
         depth = facts.depth[ordinals]
@@ -482,6 +480,7 @@ class CohortEngine:
         evolution (insert order, full-table rebuilds, payload refreshes)
         matches the scalar reference byte-for-byte."""
         cfg = self.config
+        facts = self._facts
         suppressor = ClientSuppressor(
             preload=IntermediatePreload(self._hot),
             filter_kind=cfg.filter_kind,
@@ -508,9 +507,9 @@ class CohortEngine:
                 advertised = parse_extension_payload(
                     suppressor.extension_payload()
                 )
-            ordinal = self._rank_ordinal[int(rank_row[slot])]
-            fps = self._path_fps[ordinal]
-            sizes = self._path_sizes[ordinal]
+            ordinal = facts.ordinal(int(rank_row[slot]))
+            fps = facts.fps[ordinal]
+            sizes = facts.sizes[ordinal]
             hits = list(advertised.contains_batch(fps)) if fps else []
             suppressed = [i for i, hit in enumerate(hits) if hit]
             total_bytes = sum(sizes)
@@ -527,7 +526,7 @@ class CohortEngine:
                 retries += 1
                 sent_total_count += len(fps)
                 sent_total_bytes += total_bytes
-                learned += suppressor.cache.add_many(self._path_certs[ordinal])
+                learned += suppressor.cache.add_many(facts.certs[ordinal])
                 known.update(fps)
             handshake_index += 1
         return _UserReplay(

@@ -1,16 +1,19 @@
 """Browsing-session simulator — the engine behind Fig. 5.
 
 Mirrors the paper's §5.3 methodology: a simulated user visits domains
-(Burklen model over the synthetic Tranco ranking); for every *unique*
-destination the simulator runs a **real handshake** through the TLS
-substrate with the IC-filter extension attached, so suppressions, misses
-and false positives are produced by the actual cuckoo-filter lookups, not
-by sampling an epsilon. The hot paths ride the AMQ batch API: the hot-ICA
-preload bulk-loads the client filter via ``insert_batch`` and the server
-probes each destination's verification path with one ``contains_batch``
-call per handshake. Per destination it records chain composition,
-suppression outcome and an RTT draw; the result object then reproduces
-the paper's three panels:
+(Burklen model over the synthetic Tranco ranking) and every *unique*
+destination is one suppressed handshake against the client's hot-ICA
+preload filter. The client never learns inside a session, so each
+destination's outcome — ICAs on its path, how many the advertised filter
+suppressed, whether a suppressed ICA was a false positive — is a pure
+function of the destination's ICA path under that fixed preload state.
+The simulator therefore reads outcomes from the
+:class:`~repro.webmodel.cohort.PathFacts` the cohort engine uses: one
+``contains_batch`` probe of the advertised wire image over every path,
+pinned against the real TLS machine by the cohort's scalar reference and
+by ``tests/webmodel/test_session_vs_handshake.py``. Per destination it
+records chain composition, suppression outcome and an RTT draw; the
+result object then reproduces the paper's three panels:
 
 * Fig. 5-left — ICA bytes exchanged with/without suppression, measured
   for the baseline PKI and extrapolated to the PQ algorithms (exact here,
@@ -24,17 +27,17 @@ the paper's three panels:
 from __future__ import annotations
 
 import functools
-from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 from repro import obs
 from repro.core.estimator import crypto_cpu_seconds
-from repro.core.suppression import ClientSuppressor, ServerSuppressor
-from repro.errors import SimulationError
+from repro.core.suppression import ClientSuppressor
+from repro.errors import ConfigurationError, SimulationError
 from repro.netsim.latency import LogNormalRTT
 from repro.netsim.tcp import TCPConfig, time_to_first_byte_s
-from repro.pki import build_hierarchy
 from repro.pki.algorithms import get_signature_algorithm
 from repro.pki.certificate import DEFAULT_ATTRIBUTE_BYTES
 from repro.pki.keys import KeyPair
@@ -42,15 +45,11 @@ from repro.pki.ocsp import OCSPStaple
 from repro.pki.sct import SignedCertificateTimestamp
 from repro.pki.store import IntermediatePreload
 from repro.runtime import artifacts
-from repro.runtime.parallel import (
-    derive_seed,
-    parallel_map,
-    resolve_jobs,
-    run_metered,
-)
+from repro.runtime.parallel import derive_seed
 from repro.tls.server import ServerConfig
-from repro.tls.session import HandshakeOutcome, run_handshake
+from repro.tls.session import run_handshake
 from repro.webmodel.browsing import BrowsingConfig, BrowsingModel
+from repro.webmodel.cohort import PathFacts
 from repro.webmodel.population import ICAPopulation, PopulationConfig
 
 
@@ -63,19 +62,22 @@ class SessionConfig:
     fpp: float = 1e-3
     load_factor: float = 0.9
     kem_name: str = "ntru-hps-509"
-    baseline_algorithm: str = "rsa-2048"
-    pq_algorithms: Tuple[str, ...] = ("dilithium3", "dilithium5", "sphincs-128f")
     rtt_median_s: float = 0.045
     rtt_sigma: float = 0.5
     initcwnd_segments: int = 10
     include_staples: bool = True
-    at_time: int = 1_000
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.num_domains < 1:
+            raise ConfigurationError(
+                f"num_domains must be >= 1, got {self.num_domains}"
+            )
 
 
 @dataclass(frozen=True)
 class DestinationOutcome:
-    """One unique destination's handshake record."""
+    """One unique destination's suppressed-handshake record."""
 
     rank: int
     num_icas: int
@@ -228,9 +230,9 @@ def flight_sizes(
     """(ClientHello bytes, server-flight bytes) measured by running one
     real handshake with the given chain shape — exact by construction.
 
-    Memoized in the shippable ``flight_sizes`` artifact cache: the parent
-    process probes each shape once, and `run_many` ships the entries to
-    its workers so cold processes never re-run probe handshakes.
+    Memoized in the shippable ``flight_sizes`` artifact cache, so each
+    shape is probed once per process and worker pools can ship the
+    entries instead of re-running probe handshakes.
     """
     key = (algorithm_name, kem_name, n_icas, staples)
     cached = artifacts.FLIGHT_SIZES.get(key)
@@ -277,22 +279,12 @@ def _measure_flight_sizes(
 class BrowsingSessionSimulator:
     """Runs browsing sessions against a shared population."""
 
-    #: Per-rank staple cache bound: staples are tiny, but scenario sweeps
-    #: drive millions of destinations through one simulator, so the
-    #: per-rank map is an LRU instead of growing without bound.
-    DEFAULT_STAPLES_CACHE_SIZE = 4096
-
     def __init__(
         self,
         config: SessionConfig = SessionConfig(),
         population: Optional[ICAPopulation] = None,
         lookup_seconds: Optional[float] = None,
-        staples_cache_size: int = DEFAULT_STAPLES_CACHE_SIZE,
     ) -> None:
-        if staples_cache_size < 1:
-            raise SimulationError(
-                f"staples_cache_size must be >= 1, got {staples_cache_size}"
-            )
         self.config = config
         self.population = population or ICAPopulation(
             PopulationConfig(seed=config.seed)
@@ -306,22 +298,9 @@ class BrowsingSessionSimulator:
             budget_bytes=None,  # see EXPERIMENTS.md on the 550-byte budget
             seed=config.seed,
         )
-        self.server_suppressor = ServerSuppressor(max_cached_filters=8)
-        self.trust_store = self.population.hierarchy.trust_store()
-        # ICAs genuinely in the client cache: lookups outside this set are
-        # the negative queries whose hit rate the configured filter fpp
-        # bounds (the FP-retry-rate-vs-eps check in the metrics export).
-        self._known_fps = frozenset(self.suppressor.cache.fingerprints())
-        self._staples_cache: "OrderedDict[int, Tuple[Optional[OCSPStaple], list]]" = (
-            OrderedDict()
-        )
-        self._staples_cache_size = staples_cache_size
-        self._responder = KeyPair(
-            get_signature_algorithm(self.population.config.algorithm), 0xCA7
-        )
-        # ``lookup_seconds`` overrides the wall-clock measurement: workers
-        # receive the parent's figure so serial and parallel runs report
-        # byte-for-byte identical SessionResults.
+        self._facts = PathFacts(self.population, self.suppressor)
+        # ``lookup_seconds`` overrides the wall-clock measurement so two
+        # simulators can report byte-for-byte identical SessionResults.
         self._lookup_seconds = (
             lookup_seconds
             if lookup_seconds is not None
@@ -347,41 +326,6 @@ class BrowsingSessionSimulator:
             filt.contains_batch(probes[offset : offset + path])
         return (time.perf_counter() - start) / len(probes)
 
-    def _staples_for(self, rank: int):
-        cached = self._staples_cache.get(rank)
-        if cached is not None:
-            self._staples_cache.move_to_end(rank)
-            return cached
-        if not self.config.include_staples:
-            result = (None, [])
-        else:
-            leaf = self.population.credential_for_rank(rank).chain.leaf
-            # Staples are pure functions of (leaf, responder, time), so
-            # their content is shared across simulators through the
-            # artifact cache; the per-rank LRU above only saves the
-            # fingerprint lookup on the session's revisit path.
-            content_key = (
-                leaf.fingerprint(),
-                self._responder.public_key.fingerprint(),
-                1,
-            )
-            result = artifacts.STAPLES.get(content_key)
-            if result is None:
-                result = (
-                    OCSPStaple.create(leaf, self._responder, produced_at=1),
-                    [
-                        SignedCertificateTimestamp.create(
-                            leaf, self._responder, bytes([i]) * 32, 7
-                        )
-                        for i in (1, 2)
-                    ],
-                )
-                artifacts.STAPLES.put(content_key, result)
-        self._staples_cache[rank] = result
-        while len(self._staples_cache) > self._staples_cache_size:
-            self._staples_cache.popitem(last=False)
-        return result
-
     def run(self, run_index: int = 0) -> SessionResult:
         """Simulate one session (the paper runs 10 with 200 domains)."""
         cfg = self.config
@@ -396,68 +340,41 @@ class BrowsingSessionSimulator:
             cfg.rtt_sigma,
             seed=derive_seed("session.rtt", cfg.seed, run_index),
         )
-        reg = obs.registry()
-        if reg is not None:
-            reg.inc("webmodel.session.runs")
-        outcomes: List[DestinationOutcome] = []
-        for i, rank in enumerate(destinations):
-            credential = self.population.credential_for_rank(rank)
-            ocsp, scts = self._staples_for(rank)
-            server_config = ServerConfig(
-                credential=credential,
-                suppression_handler=self.server_suppressor,
-                ocsp_staple=ocsp,
-                scts=list(scts),
-                seed=derive_seed("session.server", cfg.seed, run_index, i),
-            )
-            client_config = self.suppressor.client_config(
-                self.trust_store,
-                hostname=credential.chain.leaf.subject,
-                kem_name=cfg.kem_name,
-                at_time=cfg.at_time,
-                seed=derive_seed("session.client", cfg.seed, run_index, i),
-            )
-            trace = run_handshake(client_config, server_config)
-            if not trace.succeeded:
-                raise SimulationError(
-                    f"handshake to rank {rank} failed: "
-                    f"{trace.final_attempt.failure_reason}"
-                )
-            chain = credential.chain
-            first = trace.attempts[0]
-            ica_size = chain.intermediates[0].size_bytes() if chain.num_icas else 1
-            sent_first = (
-                first.ica_bytes_sent // ica_size if chain.num_icas else 0
-            )
-            outcome = DestinationOutcome(
+        facts = self._facts
+        ordinals = facts.ordinals(np.asarray(destinations, dtype=np.int64))
+        depths = facts.depth[ordinals].tolist()
+        hits = facts.nhits[ordinals].tolist()
+        fps = facts.fp[ordinals].tolist()
+        outcomes = [
+            DestinationOutcome(
                 rank=rank,
-                num_icas=chain.num_icas,
-                icas_sent_first=sent_first,
-                suppressed_count=chain.num_icas - sent_first,
-                false_positive=trace.false_positive,
+                num_icas=depth,
+                icas_sent_first=depth - nhits,
+                suppressed_count=nhits,
+                false_positive=fp,
                 rtt_s=rtt_sampler.sample(),
             )
-            outcomes.append(outcome)
-            if reg is not None:
-                reg.inc("webmodel.session.destinations")
-                reg.inc("webmodel.session.icas_encountered", chain.num_icas)
-                reg.inc("webmodel.session.icas_sent_total", outcome.icas_sent_total)
-                reg.inc(
-                    "webmodel.session.icas_suppressed_first",
-                    outcome.suppressed_count,
-                )
-                if outcome.false_positive:
-                    reg.inc("webmodel.session.false_positives")
-                # Negative queries against the filter on this path: the
-                # denominator of the observed-FP-rate-vs-eps check.
-                reg.inc(
-                    "webmodel.session.unknown_ica_probes",
-                    sum(
-                        1
-                        for fp in chain.ica_fingerprints()
-                        if fp not in self._known_fps
-                    ),
-                )
+            for rank, depth, nhits, fp in zip(destinations, depths, hits, fps)
+        ]
+        reg = obs.registry()
+        if reg is not None:
+            false_positives = sum(fps)
+            reg.inc("webmodel.session.runs")
+            reg.inc("webmodel.session.destinations", len(outcomes))
+            reg.inc("webmodel.session.icas_encountered", sum(depths))
+            reg.inc(
+                "webmodel.session.icas_sent_total",
+                sum(o.icas_sent_total for o in outcomes),
+            )
+            reg.inc("webmodel.session.icas_suppressed_first", sum(hits))
+            if false_positives:
+                reg.inc("webmodel.session.false_positives", false_positives)
+            # Negative queries against the filter: the denominator of the
+            # observed-FP-rate-vs-eps check.
+            reg.inc(
+                "webmodel.session.unknown_ica_probes",
+                int(facts.unknown[ordinals].sum()),
+            )
         return SessionResult(
             config=cfg,
             outcomes=outcomes,
@@ -465,76 +382,6 @@ class BrowsingSessionSimulator:
             filter_lookup_seconds=self._lookup_seconds,
         )
 
-    def run_many(
-        self, runs: int = 10, jobs: Optional[int] = 1
-    ) -> List[SessionResult]:
-        """Run ``runs`` sessions; ``jobs`` > 1 shards them across worker
-        processes (``None``/``0`` = all cores).
-
-        Each worker rebuilds the population and simulator once from the
-        configs (sessions are pure functions of (config, run index), so
-        sharding changes nothing), receives the parent's flight-size cache
-        and measured filter-lookup time, and returns its
-        :class:`SessionResult` s in run order — element-wise identical to
-        the serial path. A custom ``population`` not reconstructible from
-        its ``PopulationConfig`` (e.g. a hand-built ranking) must be run
-        with ``jobs=1``.
-        """
-        jobs = resolve_jobs(jobs)
-        metered = obs.enabled()
-        if jobs <= 1 or runs <= 1:
-            if not metered:
-                return [self.run(i) for i in range(runs)]
-            # Capture per-run deltas through the same scoped/merge path a
-            # pool worker uses, so merged metrics match any jobs value.
-            results = []
-            for i in range(runs):
-                result, snap = run_metered(self.run, i)
-                obs.merge(snap)
-                results.append(result)
-            return results
-        payload = _WorkerPayload(
-            session_config=self.config,
-            population_config=self.population.config,
-            lookup_seconds=self._lookup_seconds,
-            staples_cache_size=self._staples_cache_size,
-        )
-        return parallel_map(
-            _session_worker_run,
-            range(runs),
-            jobs=jobs,
-            initializer=_session_worker_init,
-            initargs=(payload,),
-            shipped_caches=artifacts.export_shippable(),
-            metered=metered,
-        )
-
-
-@dataclass(frozen=True)
-class _WorkerPayload:
-    """What a session worker needs to rebuild the simulator bit-for-bit."""
-
-    session_config: SessionConfig
-    population_config: PopulationConfig
-    lookup_seconds: float
-    staples_cache_size: int
-
-
-#: Worker-process simulator, built once by ``_session_worker_init``.
-_WORKER_SIMULATOR: Optional[BrowsingSessionSimulator] = None
-
-
-def _session_worker_init(payload: _WorkerPayload) -> None:
-    global _WORKER_SIMULATOR
-    _WORKER_SIMULATOR = BrowsingSessionSimulator(
-        payload.session_config,
-        population=ICAPopulation(payload.population_config),
-        lookup_seconds=payload.lookup_seconds,
-        staples_cache_size=payload.staples_cache_size,
-    )
-
-
-def _session_worker_run(run_index: int) -> SessionResult:
-    if _WORKER_SIMULATOR is None:
-        raise SimulationError("session worker used before initialization")
-    return _WORKER_SIMULATOR.run(run_index)
+    def run_many(self, runs: int = 10) -> List[SessionResult]:
+        """Run ``runs`` sessions (run indices ``0 .. runs-1``)."""
+        return [self.run(i) for i in range(runs)]

@@ -64,6 +64,24 @@ class TestExecution:
         assert main(["fig5-left", "--runs", "1", "--domains", "15"]) == 0
         assert "reduction" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "artifact, flag, message",
+        [
+            ("fig5-left", "--runs", "runs must be >= 1"),
+            ("fig5-right", "--runs", "runs must be >= 1"),
+            ("fig5-left", "--domains", "num_domains must be >= 1"),
+        ],
+    )
+    def test_empty_fig5_inputs_are_usage_errors(
+        self, capsys, artifact, flag, message
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([artifact, flag, "0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr()
+        assert message in err.err
+        assert err.out == ""
+
     def test_churn_with_json_out(self, tmp_path, capsys):
         import json
 

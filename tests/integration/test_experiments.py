@@ -218,6 +218,24 @@ class TestFig5:
                 runs=1, num_domains=25, config=config, population=population
             )
 
+    def test_run_sessions_rejects_zero_runs(self, population):
+        from repro.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match="runs must be >= 1"):
+            fig5.run_sessions(runs=0, num_domains=10, population=population)
+
+    def test_data_volume_rejects_empty_results(self):
+        from repro.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match="no session results"):
+            fig5.data_volume([])
+
+    def test_ttfb_scenarios_rejects_empty_results(self):
+        from repro.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match="no session results"):
+            fig5.ttfb_scenarios([])
+
     def test_run_sessions_accepts_matching_num_domains(self, population):
         from repro.webmodel.session_sim import SessionConfig
 

@@ -28,8 +28,9 @@ class TestFalsePositivesAtScale:
         assert noisy_result.false_positives > 0
 
     def test_every_handshake_still_succeeded(self, noisy_result):
-        # run() raises on any failed handshake; reaching here with FPs > 0
-        # means every false positive was absorbed by the retry.
+        # Every destination, false positives included, yields an outcome:
+        # the retry absorbs the failed first attempt (the real-handshake
+        # equivalence is pinned by tests/webmodel/test_session_vs_handshake.py).
         assert noisy_result.unique_destinations > 200
 
     def test_fp_rate_tracks_nominal_fpp(self, noisy_result):

@@ -1,14 +1,16 @@
-"""End-to-end observability: session metrics, export, determinism.
+"""End-to-end observability: Fig. 5 metrics, export, determinism.
 
-These tests drive the real browsing-session engine with the registry
-enabled and check the three contracts the metrics layer promises:
+These tests drive the real engines with the registry enabled and check
+the three contracts the metrics layer promises:
 
-* merged counters are identical for serial and sharded runs;
+* merged counters are identical for serial and sharded runs (the
+  columnar cohort engine at ``jobs=1`` vs ``jobs=2``);
 * the export validates against the checked-in ``repro.obs/v1`` schema
   (both in-process and through the CLI's ``--metrics-out``);
-* the numbers are *true*: the FP-retry rate tracks the configured filter
-  eps, cache hit ratios are nonzero on warm paths, and the byte-savings
-  counters reproduce what the Fig. 5 result objects report.
+* the numbers are *true*: the session FP rate tracks the configured
+  filter eps, the byte-savings counters reproduce what the Fig. 5 result
+  objects report, and the per-handshake TLS machine (the cohort's scalar
+  reference) closes its handshake accounting on warm artifact caches.
 """
 
 import json
@@ -21,10 +23,21 @@ from repro.experiments import fig5
 from repro.obs.export import deterministic_counters, to_json_doc
 from repro.obs.schema import validation_errors
 from repro.runtime import artifacts
+from repro.webmodel.cohort import CohortConfig, run_cohort
+from repro.webmodel.cohort_reference import run_cohort_reference
+from repro.webmodel.population import PopulationConfig
 from repro.webmodel.session_sim import BrowsingSessionSimulator, SessionConfig
 
 RUNS = 2
 CONFIG = SessionConfig(seed=3, num_domains=40)
+#: A small cohort at a loose fpp, so false-positive retries occur.
+COHORT = CohortConfig(
+    num_users=48,
+    handshakes_per_user=5,
+    fpp=0.05,
+    population=PopulationConfig(seed=3),
+    block_users=16,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -34,51 +47,66 @@ def _clean_state():
     obs.disable()
 
 
-def _run_arm(jobs):
-    """One metered experiment arm on a fresh registry; returns
-    (session results, registry snapshot).
-
-    The simulator is built *before* the registry turns on and with a
-    pinned lookup time: construction cost depends on process-global
-    artifact-cache state (a warm ``filter_builds`` entry skips the
-    preload's inserts) and on the wall clock, neither of which is part
-    of the serial-vs-parallel determinism contract the run-phase
-    metrics promise.
-    """
+def _metered(run):
+    """Call ``run`` on a fresh registry; returns (result, snapshot)."""
     obs.disable()
-    sim = BrowsingSessionSimulator(CONFIG, lookup_seconds=1e-7)
     obs.enable()
-    results = sim.run_many(RUNS, jobs=jobs)
-    return results, obs.snapshot()
+    result = run()
+    snap = obs.snapshot()
+    obs.disable()
+    return result, snap
 
 
 @pytest.fixture(scope="module")
-def arms():
+def sessions():
+    """Metered browsing sessions: (session results, registry snapshot).
+
+    The simulator is built *before* the registry turns on and with a
+    pinned lookup time: construction cost depends on process-global
+    artifact-cache state and on the wall clock, neither of which the
+    run-phase metrics describe.
+    """
+    obs.disable()
+    sim = BrowsingSessionSimulator(CONFIG, lookup_seconds=1e-7)
+    return _metered(lambda: sim.run_many(RUNS))
+
+
+@pytest.fixture(scope="module")
+def cohort_arms():
+    """The cohort engine, serial and sharded: {arm: (result, snapshot)}."""
+    return {
+        "serial": _metered(lambda: run_cohort(COHORT, jobs=1)),
+        "parallel": _metered(lambda: run_cohort(COHORT, jobs=2)),
+    }
+
+
+@pytest.fixture(scope="module")
+def reference():
+    """The cohort's scalar per-handshake reference, run twice over one
+    cleared artifact cache: (result, snapshot of the warm second run)."""
     obs.disable()
     artifacts.clear()
-    serial = _run_arm(jobs=1)
-    parallel = _run_arm(jobs=2)
-    obs.disable()
-    return {"serial": serial, "parallel": parallel}
+    run_cohort_reference(COHORT)
+    return _metered(lambda: run_cohort_reference(COHORT))
 
 
 class TestSerialParallelDeterminism:
-    def test_results_identical(self, arms):
-        serial_results, _ = arms["serial"]
-        parallel_results, _ = arms["parallel"]
-        assert serial_results == parallel_results
+    def test_results_identical(self, cohort_arms):
+        serial_result, _ = cohort_arms["serial"]
+        parallel_result, _ = cohort_arms["parallel"]
+        assert serial_result == parallel_result
 
-    def test_merged_deterministic_counters_identical(self, arms):
-        serial = deterministic_counters(arms["serial"][1])
-        parallel = deterministic_counters(arms["parallel"][1])
+    def test_merged_deterministic_counters_identical(self, cohort_arms):
+        serial = deterministic_counters(cohort_arms["serial"][1])
+        parallel = deterministic_counters(cohort_arms["parallel"][1])
         assert serial == parallel
-        assert serial["tls.handshake.runs{}"] > 0
+        assert serial["webmodel.cohort.handshakes{}"] > 0
 
-    def test_histogram_counts_match_across_arms(self, arms):
+    def test_histogram_counts_match_across_arms(self, cohort_arms):
         # Span histograms carry nondeterministic *timings* but the event
         # counts they accumulated must match exactly.
         counts = {}
-        for arm, (_, snap) in arms.items():
+        for arm, (_, snap) in cohort_arms.items():
             counts[arm] = {
                 key: state[0] for key, state in snap["histograms"].items()
             }
@@ -86,23 +114,23 @@ class TestSerialParallelDeterminism:
 
 
 class TestMetricsTellTheTruth:
-    def test_export_is_schema_valid(self, arms):
-        assert validation_errors(to_json_doc(arms["serial"][1])) == []
+    def test_export_is_schema_valid(self, sessions):
+        assert validation_errors(to_json_doc(sessions[1])) == []
 
-    def test_fp_retry_rate_tracks_configured_eps(self, arms):
-        results, snap = arms["serial"]
+    def test_fp_retry_rate_tracks_configured_eps(self, sessions):
+        results, snap = sessions
         flat = deterministic_counters(snap)
-        fp_retries = flat.get("tls.handshake.retries{cause=server-fp}", 0)
+        false_positives = flat.get("webmodel.session.false_positives{}", 0)
         probes = flat["webmodel.session.unknown_ica_probes{}"]
         assert probes > 0
-        # Every observed FP retry is a session-level false positive.
-        assert fp_retries == sum(r.false_positives for r in results)
+        # The counter is the session-level false-positive total.
+        assert false_positives == sum(r.false_positives for r in results)
         # The observed rate stays within a generous binomial envelope of
         # the configured lookup fpp (small-sample slack of 5 events).
-        assert fp_retries / probes <= CONFIG.fpp * 10 + 5 / probes
+        assert false_positives / probes <= CONFIG.fpp * 10 + 5 / probes
 
-    def test_byte_savings_counters_match_results(self, arms):
-        results, snap = arms["serial"]
+    def test_byte_savings_counters_match_results(self, sessions):
+        results, snap = sessions
         flat = deterministic_counters(snap)
         assert flat["webmodel.session.icas_encountered{}"] == sum(
             r.total_icas for r in results
@@ -117,8 +145,8 @@ class TestMetricsTellTheTruth:
         # The paper's headline: most encountered ICAs get suppressed.
         assert suppressed_first / flat["webmodel.session.icas_encountered{}"] > 0.5
 
-    def test_handshake_accounting_is_closed(self, arms):
-        _, snap = arms["serial"]
+    def test_handshake_accounting_is_closed(self, reference):
+        result, snap = reference
         flat = deterministic_counters(snap)
         runs = flat["tls.handshake.runs{}"]
         attempts = flat["tls.handshake.attempts{}"]
@@ -128,11 +156,12 @@ class TestMetricsTellTheTruth:
         outcomes = sum(
             v for k, v in flat.items() if k.startswith("tls.handshake.outcomes{")
         )
-        assert outcomes == runs
+        assert outcomes == runs == result.stats.handshakes
         assert attempts == runs + retries
+        assert retries == result.stats.retries > 0
 
-    def test_fig5_gauges_match_result_rows(self, arms):
-        results, _ = arms["serial"]
+    def test_fig5_gauges_match_result_rows(self, sessions):
+        results, _ = sessions
         obs.disable()
         reg = obs.enable()
         volume = fig5.data_volume(results)
@@ -145,9 +174,10 @@ class TestMetricsTellTheTruth:
             volume.mean_reduction
         )
 
-    def test_warm_artifact_caches_have_nonzero_hit_ratio(self, arms):
-        # The arms fixture ran four sessions over the same population, so
-        # the content-keyed caches must be warm by the end.
+    @pytest.mark.usefixtures("reference")
+    def test_warm_artifact_caches_have_nonzero_hit_ratio(self):
+        # The reference fixture ran the same cohort twice over one
+        # population, so the content-keyed caches must be warm by the end.
         stats = artifacts.stats()
         for cache in (
             "signature_bytes", "verified_chains", "tbs_pads", "der_fragments"
@@ -163,13 +193,13 @@ class TestCliMetricsOut:
         out = tmp_path / "metrics.json"
         assert main(
             ["fig5-left", "--runs", "1", "--domains", "15",
-             "--jobs", "1", "--metrics-out", str(out)]
+             "--metrics-out", str(out)]
         ) == 0
         assert not obs.enabled()  # CLI restores the disabled default
         doc = json.loads(out.read_text())
         assert validation_errors(doc) == []
         names = {entry["name"] for entry in doc["counters"]}
-        assert "tls.handshake.runs" in names
+        assert "webmodel.session.destinations" in names
         assert "amq.ops" in names
         gauge_names = {entry["name"] for entry in doc["gauges"]}
         assert "runtime.artifacts.cache_hits" in gauge_names
@@ -179,8 +209,8 @@ class TestCliMetricsOut:
         out = tmp_path / "metrics.prom"
         assert main(
             ["fig5-left", "--runs", "1", "--domains", "15",
-             "--jobs", "1", "--metrics-out", str(out)]
+             "--metrics-out", str(out)]
         ) == 0
         text = out.read_text()
-        assert "# TYPE tls_handshake_runs_total counter" in text
+        assert "# TYPE webmodel_session_destinations_total counter" in text
         assert "[metrics: prometheus export written to" in capsys.readouterr().err

@@ -92,7 +92,7 @@ class TestRegistry:
             "signature_bytes",
             "verified_chains",
             "filter_builds",
-            "staples",
+            "credentials",
             "flight_sizes",
             "der_encode",
         ):

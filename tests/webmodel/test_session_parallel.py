@@ -1,24 +1,25 @@
-"""Determinism and caching invariants of the parallel session runtime.
+"""Determinism and caching invariants of the session runtime.
 
 The contracts this file pins down:
 
-* sharding runs across worker processes produces *element-wise identical*
-  ``SessionResult`` s to the serial loop, for multiple seeds and filter
-  structures;
+* sessions are pure functions of (config, run index): repeated runs,
+  fresh simulators and cache-disabled simulators all agree;
 * artifact-cache hits never change handshake byte accounting — a warm
   handshake reports the same ``client_hello_bytes`` /
   ``server_flight_bytes`` / ``ica_bytes_sent`` as a cold or cache-disabled
   one;
-* a warm repeat of a session performs zero redundant DER encodes;
-* the per-rank staples cache is a bounded LRU.
+* a warm repeat of the same handshakes performs zero redundant DER
+  encodes.
 """
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.core.suppression import ClientSuppressor, ServerSuppressor
+from repro.pki.store import IntermediatePreload
 from repro.runtime import artifacts
 from repro.tls.server import ServerConfig
 from repro.tls.session import run_handshake
+from repro.webmodel.population import ICAPopulation, PopulationConfig
 from repro.webmodel.session_sim import BrowsingSessionSimulator, SessionConfig
 
 
@@ -27,29 +28,18 @@ def _small_config(seed, filter_kind="cuckoo"):
 
 
 # ---------------------------------------------------------------------------
-# Serial/parallel equality
+# Run determinism
 # ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("seed", [3, 11])
-@pytest.mark.parametrize("filter_kind", ["cuckoo", "bloom"])
-def test_run_many_parallel_matches_serial(seed, filter_kind):
-    sim = BrowsingSessionSimulator(_small_config(seed, filter_kind))
-    serial = sim.run_many(2, jobs=1)
-    parallel = sim.run_many(2, jobs=2)
-    assert len(serial) == len(parallel) == 2
-    for k, (s, p) in enumerate(zip(serial, parallel)):
-        assert s == p, f"run {k} diverged between serial and parallel"
 
 
 def test_run_many_zero_runs():
     sim = BrowsingSessionSimulator(_small_config(5))
-    assert sim.run_many(0, jobs=2) == []
+    assert sim.run_many(0) == []
 
 
 def test_runs_are_distinct_per_index():
     sim = BrowsingSessionSimulator(_small_config(5))
-    a, b = sim.run_many(2, jobs=1)
+    a, b = sim.run_many(2)
     assert a.outcomes != b.outcomes  # different run indices, different sessions
 
 
@@ -58,48 +48,6 @@ def test_same_seed_same_results_across_simulators():
     sim2 = BrowsingSessionSimulator(_small_config(7))
     sim2._lookup_seconds = r1.filter_lookup_seconds
     assert sim2.run(0) == r1
-
-
-# ---------------------------------------------------------------------------
-# Cache hits never change byte accounting
-# ---------------------------------------------------------------------------
-
-
-def _attempt_bytes(sim, rank):
-    credential = sim.population.credential_for_rank(rank)
-    ocsp, scts = sim._staples_for(rank)
-    server_config = ServerConfig(
-        credential=credential,
-        suppression_handler=sim.server_suppressor,
-        ocsp_staple=ocsp,
-        scts=list(scts),
-        seed=7,
-    )
-    client_config = sim.suppressor.client_config(
-        sim.trust_store,
-        hostname=credential.chain.leaf.subject,
-        kem_name=sim.config.kem_name,
-        at_time=sim.config.at_time,
-        seed=9,
-    )
-    trace = run_handshake(client_config, server_config)
-    assert trace.succeeded
-    first = trace.attempts[0]
-    return (
-        first.client_hello_bytes,
-        first.server_flight_bytes,
-        first.ica_bytes_sent,
-    )
-
-
-def test_cache_hits_do_not_change_handshake_bytes():
-    sim = BrowsingSessionSimulator(_small_config(9))
-    artifacts.clear()
-    cold = _attempt_bytes(sim, rank=1)
-    warm = _attempt_bytes(sim, rank=1)  # same handshake, now cache-served
-    with artifacts.disabled():
-        bypassed = _attempt_bytes(sim, rank=1)
-    assert cold == warm == bypassed
 
 
 def test_disabled_caches_reproduce_session_result():
@@ -114,41 +62,66 @@ def test_disabled_caches_reproduce_session_result():
 
 
 # ---------------------------------------------------------------------------
+# Plain handshakes over the population: cache hits never change bytes
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def world():
+    """A population plus a preloaded client, as a browsing session sees
+    them (built once: the population issues real credentials)."""
+    population = ICAPopulation(PopulationConfig(seed=9))
+    suppressor = ClientSuppressor(
+        preload=IntermediatePreload(population.hot_ica_certificates()),
+        seed=9,
+    )
+    return population, suppressor, population.hierarchy.trust_store()
+
+
+def _attempt_bytes(world, rank):
+    population, suppressor, trust_store = world
+    credential = population.credential_for_rank(rank)
+    server_config = ServerConfig(
+        credential=credential,
+        suppression_handler=ServerSuppressor(),
+        seed=7,
+    )
+    client_config = suppressor.client_config(
+        trust_store,
+        hostname=credential.chain.leaf.subject,
+        kem_name="ntru-hps-509",
+        at_time=1_000,
+        seed=9,
+    )
+    trace = run_handshake(client_config, server_config)
+    assert trace.succeeded
+    first = trace.attempts[0]
+    return (
+        first.client_hello_bytes,
+        first.server_flight_bytes,
+        first.ica_bytes_sent,
+    )
+
+
+def test_cache_hits_do_not_change_handshake_bytes(world):
+    artifacts.clear()
+    cold = _attempt_bytes(world, rank=1)
+    warm = _attempt_bytes(world, rank=1)  # same handshake, now cache-served
+    with artifacts.disabled():
+        bypassed = _attempt_bytes(world, rank=1)
+    assert cold == warm == bypassed
+
+
+# ---------------------------------------------------------------------------
 # Warm runs perform zero redundant DER encodes
 # ---------------------------------------------------------------------------
 
 
-def test_warm_session_repeat_encodes_no_der():
-    sim = BrowsingSessionSimulator(_small_config(13))
-    first = sim.run(0)
+def test_warm_session_repeat_encodes_no_der(world):
+    ranks = range(1, 13)
+    first = [_attempt_bytes(world, rank) for rank in ranks]
     before = artifacts.stats()["der_encode"]["misses"]
-    second = sim.run(0)
+    second = [_attempt_bytes(world, rank) for rank in ranks]
     after = artifacts.stats()["der_encode"]["misses"]
     assert second == first
     assert after == before, f"warm repeat performed {after - before} DER encodes"
-
-
-# ---------------------------------------------------------------------------
-# Staples LRU bound
-# ---------------------------------------------------------------------------
-
-
-def test_staples_cache_bounded():
-    sim = BrowsingSessionSimulator(_small_config(5), staples_cache_size=4)
-    for rank in range(1, 20):
-        sim._staples_for(rank)
-    assert len(sim._staples_cache) <= 4
-
-
-def test_staples_cache_keeps_recent_ranks():
-    sim = BrowsingSessionSimulator(_small_config(5), staples_cache_size=2)
-    sim._staples_for(1)
-    sim._staples_for(2)
-    sim._staples_for(1)  # refresh rank 1
-    sim._staples_for(3)  # evicts rank 2
-    assert set(sim._staples_cache) == {1, 3}
-
-
-def test_staples_cache_size_validated():
-    with pytest.raises(SimulationError):
-        BrowsingSessionSimulator(_small_config(5), staples_cache_size=0)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.webmodel.session_sim import (
     BrowsingSessionSimulator,
     SessionConfig,
@@ -11,10 +12,17 @@ from repro.webmodel.session_sim import (
 
 @pytest.fixture(scope="module")
 def result():
-    """One medium-sized session shared across assertions (live TLS
-    handshakes inside, so build it once)."""
+    """One medium-sized session shared across assertions (the population
+    build dominates, so build it once)."""
     sim = BrowsingSessionSimulator(SessionConfig(seed=2, num_domains=60))
     return sim.run(0)
+
+
+class TestSessionConfig:
+    @pytest.mark.parametrize("num_domains", [0, -1])
+    def test_rejects_empty_sessions(self, num_domains):
+        with pytest.raises(ConfigurationError, match="num_domains must be >= 1"):
+            SessionConfig(num_domains=num_domains)
 
 
 class TestFlightSizes:
