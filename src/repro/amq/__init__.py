@@ -28,7 +28,6 @@ from repro.amq.serialization import (
     FILTER_REGISTRY,
 )
 from repro.amq.delta import (
-    NATIVE_DELTA_FAMILIES,
     DeltaApplier,
     DeltaPublisher,
     FilterDelta,
@@ -64,7 +63,6 @@ __all__ = [
     "filter_class_for_name",
     "canonical_params",
     "FILTER_REGISTRY",
-    "NATIVE_DELTA_FAMILIES",
     "DeltaApplier",
     "DeltaPublisher",
     "FilterDelta",

@@ -19,7 +19,6 @@ from repro import obs
 from repro.errors import (
     ConfigurationError,
     DeletionUnsupportedError,
-    FilterDeleteError,
     FilterFullError,
 )
 
@@ -263,55 +262,6 @@ class AMQFilter(ABC):
         """
         self._record_batch("delete", len(items))
         return self._delete_batch(items)
-
-    def delete_batch_strict(self, items: Sequence[bytes]) -> None:
-        """Delete ``items``, all-or-nothing.
-
-        The delta applier's removal path: a patch that names an item the
-        table does not hold is malformed, and a malformed patch must not
-        corrupt the table. On the first miss the already-deleted prefix
-        is restored and :class:`~repro.errors.FilterDeleteError` is
-        raised with ``missing_index`` set; the table is then
-        byte-identical to its pre-call state. Duplicate items in the
-        batch are rejected up front — each physical copy can satisfy one
-        deletion, so a repeated fingerprint is the same malformation as
-        a missing one.
-        """
-        if len(set(items)) != len(items):
-            raise FilterDeleteError(
-                "strict delete batch contains duplicate items",
-                missing_index=None,
-            )
-        self._record_batch("delete", len(items))
-        self._delete_batch_strict(items)
-
-    def _delete_batch_strict(self, items: Sequence[bytes]) -> None:
-        """Generic strict-delete: scalar loop, unwind on first miss.
-
-        Correct for history-independent tables (counting bloom, quotient)
-        where re-inserting the deleted prefix restores the exact bytes.
-        Bucket tables override this with an exact slot-level undo —
-        their generic re-insert could place a fingerprint in the
-        alternate bucket (and a kick chain would draw rng), which would
-        not be byte-identical.
-        """
-        for index, item in enumerate(items):
-            if not self._delete(item):
-                for deleted in reversed(items[:index]):
-                    self._reinsert_deleted(deleted)
-                raise FilterDeleteError(
-                    f"strict delete batch item {index} is not stored",
-                    missing_index=index,
-                )
-
-    def _reinsert_deleted(self, item: bytes) -> None:
-        """Restore one item removed during a failed strict delete.
-
-        The freed slot guarantees space, so the default scalar insert
-        cannot overflow; history-independent backends land back on the
-        exact pre-delete bytes.
-        """
-        self._insert(item)
 
     def _insert_batch(self, items: Sequence[bytes]) -> None:
         for index, item in enumerate(items):

@@ -64,11 +64,7 @@ from repro.amq.hashing import (
     hash_int,
 )
 from repro.amq.sizing import fingerprint_bits_for_fpp
-from repro.errors import (
-    FilterDeleteError,
-    FilterFullError,
-    FilterSerializationError,
-)
+from repro.errors import FilterFullError, FilterSerializationError
 
 DEFAULT_BUCKET_SIZE = 4
 DEFAULT_MAX_KICKS = 500
@@ -189,13 +185,6 @@ class BucketTableFilter(AMQFilter):
                 return True
         return False
 
-    def _bucket_find_slot(self, index: int, fp: int) -> "int | None":
-        start, end = self._bucket_slice(index)
-        for slot in range(start, end):
-            if self._table[slot] == fp:
-                return slot
-        return None
-
     # -- AMQFilter interface ---------------------------------------------------
 
     def _insert(self, item: bytes) -> None:
@@ -258,31 +247,6 @@ class BucketTableFilter(AMQFilter):
             self._count -= 1
             return True
         return False
-
-    def _delete_batch_strict(self, items: Sequence[bytes]) -> None:
-        # Bucket tables remember *which* bucket stored a fingerprint, so
-        # the generic unwind (re-insert the deleted prefix) is not
-        # byte-identical: a copy deleted from the alternate bucket would
-        # re-land in the primary one. Record the exact (slot, fp) pairs
-        # and restore them directly — no hashing, no kicks, no rng draws.
-        undo: List["tuple[int, int]"] = []
-        for index, item in enumerate(items):
-            fp = self._fingerprint(item)
-            i1 = self._index1(item)
-            slot = self._bucket_find_slot(i1, fp)
-            if slot is None:
-                slot = self._bucket_find_slot(self._alt_index(i1, fp), fp)
-            if slot is None:
-                for prior_slot, prior_fp in reversed(undo):
-                    self._table[prior_slot] = prior_fp
-                    self._count += 1
-                raise FilterDeleteError(
-                    f"strict delete batch item {index} is not stored",
-                    missing_index=index,
-                )
-            self._table[slot] = 0
-            self._count -= 1
-            undo.append((slot, fp))
 
     # -- batch kernels ---------------------------------------------------------
 

@@ -10,25 +10,20 @@ wire format (:mod:`repro.amq.serialization`):
   every published version and emits ``repro.delta/v1`` messages: full
   snapshots (a framed AMQ wire image) and patches (add/remove sets
   against a base version).
-* A :class:`DeltaApplier` replays those messages client-side.  Counting
-  families (see :data:`NATIVE_DELTA_FAMILIES`) apply removals natively
-  via ``delete_batch_strict`` and additions via ``insert_batch``; every
-  other family gets an **epoch-merged rebuild**: one reconstruction from
-  the patched item list per applied update, however many versions the
-  update spans, with the target version id folded into the hash seed
-  (:func:`delta_seed`).
+* A :class:`DeltaApplier` replays those messages client-side.  Every
+  family applies a patch the same way, an **epoch-merged rebuild**: one
+  reconstruction from the patched item list per applied update, however
+  many versions the update spans, with the target version id folded into
+  the hash seed (:func:`delta_seed`).
 
 **The equivalence guarantee.**  For every filter family, applying the
 patch chain v0 → vN yields a filter whose wire image is byte-identical
-to a fresh build at vN (:func:`build_filter_at`).  For rebuild families
-this holds by construction — publisher and applier call the same pure
-build function.  For native families it is a real structural property:
-the counting-Bloom counter array and the quotient filter's canonical
-cluster layout are history-independent, so in-place delete/insert lands
-on the same bytes as a fresh build of the surviving set.  Cuckoo and
-vacuum tables are *not* history-independent (bucket choice and kick
-chains remember insertion order), which is exactly why they take the
-rebuild path here despite supporting deletion.
+to a fresh build at vN (:func:`build_filter_at`).  It holds by
+construction: publisher snapshots, applier rebuilds and the equivalence
+suite's fresh build call the same pure build function.  Nothing rests on
+a table being history-independent, so cuckoo and vacuum tables (whose
+bucket choices and kick chains remember insertion order) get the same
+guarantee as counting-Bloom and quotient filters.
 
 ``repro.delta/v1`` message layout (big endian)::
 
@@ -58,8 +53,8 @@ A *full* body is an AMQ wire image (``serialize_filter`` output).  A
                   increasing positions into the from_version item list)
 
 Removals ship as **indices** into the base version's canonical item list
-rather than as items: the applier tracks that list anyway (rebuild
-families need it), and two bytes per removal instead of a 32-byte
+rather than as items: the applier tracks that list anyway (every
+rebuild needs it), and two bytes per removal instead of a 32-byte
 fingerprint is what keeps a patch decisively under the full image on the
 wire.  A patch may span several versions (``to_version - from_version >
 1``): the publisher merges intermediate patches server-side, so a client
@@ -96,7 +91,6 @@ from repro.amq.serialization import (
 )
 from repro.errors import (
     ConfigurationError,
-    FilterDeleteError,
     FilterFullError,
     FilterSerializationError,
 )
@@ -112,36 +106,26 @@ _PATCH_HEADER = struct.Struct(">QIHBIBHH")
 
 _MAX_VERSION = (1 << 64) - 1
 
-#: Families whose deletion path is history-independent: the stored bytes
-#: are a pure function of the item (multi)set, so a delta's removals can
-#: apply in place via ``delete_batch_strict`` and still land on the same
-#: wire image as a fresh build.  Cuckoo/vacuum support deletion but their
-#: tables remember bucket choices and kick chains, so they rebuild.
-NATIVE_DELTA_FAMILIES = frozenset({"counting-bloom", "quotient"})
-
 #: A pluggable build function ``(filter_kind, params, items) -> filter``;
 #: the cohort engines pass a memoized one (FilterPlan.build) so repeated
 #: versions rehydrate cached images instead of rebuilding.
 FilterBuilder = Callable[[str, FilterParams, List[bytes]], AMQFilter]
 
 
-def delta_seed(filter_kind: str, base_seed: int, version: int) -> int:
-    """Hash seed of ``filter_kind`` at ``version``.
+def delta_seed(base_seed: int, version: int) -> int:
+    """Hash seed of a filter at ``version``.
 
-    Rebuild families fold the version id into the 32-bit wire seed (two
-    epochs of one deployment never share hash geometry, the CRLite salt
-    rotation); version 0 is the plain base build.  Native families keep
-    the base seed at every version — their whole point is that the table
-    mutates in place, which requires stable hashing.
+    The version id folds into the 32-bit wire seed, so two epochs of one
+    deployment never share hash geometry (the CRLite salt rotation);
+    version 0 is the plain base build.
     """
     base = base_seed & 0xFFFFFFFF
-    if version == 0 or filter_kind in NATIVE_DELTA_FAMILIES:
+    if version == 0:
         return base
     return splitmix64(splitmix64(version & MASK64) ^ base) & 0xFFFFFFFF
 
 
 def params_at(
-    filter_kind: str,
     capacity: int,
     fpp: float,
     load_factor: float,
@@ -154,7 +138,7 @@ def params_at(
             capacity=capacity,
             fpp=fpp,
             load_factor=load_factor,
-            seed=delta_seed(filter_kind, base_seed, version),
+            seed=delta_seed(base_seed, version),
         )
     )
 
@@ -173,7 +157,7 @@ def build_filter_at(
     publisher snapshots, applier rebuilds and the equivalence suite's
     "fresh build at vN" — which is what makes byte-identity achievable
     rather than aspirational."""
-    params = params_at(filter_kind, capacity, fpp, load_factor, base_seed, version)
+    params = params_at(capacity, fpp, load_factor, base_seed, version)
     items = [bytes(item) for item in items]
     if builder is not None:
         return builder(filter_kind, params, items)
@@ -479,13 +463,14 @@ class DeltaPublisher:
     """Server side of the protocol: the canonical item trajectory.
 
     Every :meth:`publish` freezes one version: the canonicalized ordered
-    item list plus the capacity in force (grow-only, re-planned with
-    ``headroom`` only when the count overflows the current table — so
-    native families keep their geometry, and with it their in-place
-    patch path, across quiet versions).  :meth:`update_since` then serves
-    any client: one epoch-merged patch from its version to the head, or
-    the framed full snapshot when that is the smaller message — whichever
-    costs fewer bytes is what goes on the wire, CRLite-style.
+    item list plus the capacity in force.  Capacity is grow-only,
+    re-planned with ``headroom`` only when the count overflows the
+    current table, so quiet versions keep one patch geometry: every
+    client rebuild lands on the same table size, and the snapshot a
+    patch competes against keeps its size.  :meth:`update_since` then
+    serves any client: one epoch-merged patch from its version to the
+    head, or the framed full snapshot when that is the smaller message —
+    whichever costs fewer bytes is what goes on the wire, CRLite-style.
     """
 
     def __init__(
@@ -642,10 +627,11 @@ class DeltaApplier:
     """Client side: a versioned filter plus the ordered item list behind
     it, advanced by ``repro.delta/v1`` messages.
 
-    Every update is all-or-nothing: validation happens before any
-    mutation, and the native in-place path unwinds byte-identically
-    (``delete_batch_strict``) if the table and the patch disagree — a
-    malformed patch can never leave a half-applied filter behind.
+    Every update is all-or-nothing: validation happens before the
+    rebuild, and the new filter replaces the old one only once it is
+    built — a malformed or overflowing patch raises
+    :class:`~repro.errors.FilterSerializationError` and leaves version,
+    items and image unchanged.
     """
 
     def __init__(
@@ -656,7 +642,6 @@ class DeltaApplier:
         fpp: float = 1e-3,
         load_factor: float = 0.9,
         seed: int = 0,
-        version: int = 0,
         builder: Optional[FilterBuilder] = None,
     ) -> None:
         filter_class_for_name(filter_kind)
@@ -672,19 +657,21 @@ class DeltaApplier:
         self._capacity = (
             capacity if capacity is not None else max(1, len(self._items))
         )
-        self._version = version
-        self._filter = self._build(self._version)
+        self._version = 0
+        self._filter = self._build(self._capacity, 0, self._items)
         self._image: Optional[bytes] = None
 
-    def _build(self, version: int) -> AMQFilter:
+    def _build(
+        self, capacity: int, version: int, items: Sequence[bytes]
+    ) -> AMQFilter:
         return build_filter_at(
             self.filter_kind,
-            self._capacity,
+            capacity,
             self.fpp,
             self.load_factor,
             self.seed,
             version,
-            self._items,
+            items,
             builder=self._builder,
         )
 
@@ -797,9 +784,7 @@ class DeltaApplier:
             )
         filt = deserialize_filter(snapshot.image)
         params = filt.params
-        expected_seed = delta_seed(
-            self.filter_kind, self.seed, snapshot.version
-        )
+        expected_seed = delta_seed(self.seed, snapshot.version)
         if (
             params.seed != expected_seed
             or quantize_fpp(params.fpp) != quantize_fpp(self.fpp)
@@ -820,26 +805,15 @@ class DeltaApplier:
 
     def _apply_patch(self, patch: FilterDelta) -> None:
         self._check_patch(patch)
-        removed_items = [self._items[i] for i in patch.removed_indices]
         new_items = apply_diff(self._items, patch.removed_indices, patch.added)
-        native = (
-            self.filter_kind in NATIVE_DELTA_FAMILIES
-            and patch.capacity == self._capacity
-        )
-        if native:
-            self._apply_native(patch, removed_items)
-        else:
-            self._filter = build_filter_at(
-                self.filter_kind,
-                patch.capacity,
-                self.fpp,
-                self.load_factor,
-                self.seed,
-                patch.to_version,
-                new_items,
-                builder=self._builder,
-            )
-            obs.inc("amq.delta.rebuilds")
+        try:
+            filt = self._build(patch.capacity, patch.to_version, new_items)
+        except FilterFullError as exc:
+            raise FilterSerializationError(
+                f"patch overflows the filter's capacity {patch.capacity}: "
+                f"{exc}"
+            ) from exc
+        self._filter = filt
         self._items = new_items
         self._capacity = patch.capacity
         self._version = patch.to_version
@@ -849,43 +823,8 @@ class DeltaApplier:
         if patch.spans_epochs:
             obs.inc("amq.delta.epoch_merges")
 
-    def _apply_native(
-        self, patch: FilterDelta, removed_items: List[bytes]
-    ) -> None:
-        filt = self._filter
-        try:
-            if removed_items:
-                filt.delete_batch_strict(removed_items)
-        except FilterDeleteError as exc:
-            # delete_batch_strict already unwound byte-identically; the
-            # patch names an item the table does not hold.
-            raise FilterSerializationError(
-                f"patch removes an item the filter does not hold: {exc}"
-            ) from exc
-        if patch.added:
-            try:
-                filt.insert_batch(list(patch.added))
-            except FilterFullError as exc:
-                # History independence makes the restore exact: rebuild
-                # from the pre-patch item list at the pre-patch version.
-                self._filter = self._build(self._version)
-                raise FilterSerializationError(
-                    f"patch overflows the filter's capacity "
-                    f"{self._capacity}: {exc}"
-                ) from exc
-        obs.inc("amq.delta.native_applies")
-
-
-def snapshot_overhead_bytes() -> int:
-    """Total framing of a full-refresh distribution message: the delta
-    header on top of the AMQ image (whose own header
-    ``serialized_overhead_bytes`` already counts against the payload) —
-    what the ``--distribution full`` churn arm pays per refresh."""
-    return delta_overhead_bytes()
-
 
 __all__ = [
-    "NATIVE_DELTA_FAMILIES",
     "FilterDelta",
     "FilterSnapshot",
     "DeltaApplier",
@@ -898,5 +837,4 @@ __all__ = [
     "diff_items",
     "params_at",
     "serialize_delta",
-    "snapshot_overhead_bytes",
 ]

@@ -66,7 +66,7 @@ class CTLSDictionary:
     def __init__(self, sync_overhead_bytes: int = 64) -> None:
         self._ids: Dict[bytes, int] = {}
         self._members: List[bytes] = []
-        self._epoch = 0
+        self._current_epoch = 0
         self._sync_overhead = sync_overhead_bytes
         self.ledger = SyncLedger()
 
@@ -83,7 +83,7 @@ class CTLSDictionary:
                 self._members.append(fp)
                 added += 1
         if added:
-            self._epoch += 1
+            self._current_epoch += 1
         return added
 
     def revoke(self, certificate: Certificate) -> bool:
@@ -95,12 +95,12 @@ class CTLSDictionary:
         del self._ids[fp]
         self._members.remove(fp)
         self._ids = {f: i for i, f in enumerate(self._members)}
-        self._epoch += 1
+        self._current_epoch += 1
         return True
 
     @property
     def epoch(self) -> int:
-        return self._epoch
+        return self._current_epoch
 
     def __len__(self) -> int:
         return len(self._members)
@@ -122,12 +122,12 @@ class CTLSClient:
     def __init__(self, dictionary: CTLSDictionary) -> None:
         self._dictionary = dictionary
         self._known: Set[bytes] = set()
-        self._epoch = -1
+        self._synced_epoch = -1
         self.stale_handshakes = 0
 
     @property
     def synced(self) -> bool:
-        return self._epoch == self._dictionary.epoch
+        return self._synced_epoch == self._dictionary.epoch
 
     def sync(self) -> int:
         """Bring the local dictionary up to date; returns bytes
@@ -135,7 +135,7 @@ class CTLSClient:
         if self.synced:
             return 0
         current = set(self._dictionary._ids)
-        if self._epoch < 0:
+        if self._synced_epoch < 0:
             nbytes = self._dictionary.full_sync_bytes()
             self._dictionary.ledger.record_full(nbytes)
         else:
@@ -143,7 +143,7 @@ class CTLSClient:
             nbytes = self._dictionary.delta_sync_bytes(changed)
             self._dictionary.ledger.record_delta(nbytes)
         self._known = current
-        self._epoch = self._dictionary.epoch
+        self._synced_epoch = self._dictionary.epoch
         return nbytes
 
     def advertisement_bytes(self, peer: str) -> int:

@@ -7,20 +7,21 @@ or for every single-cert change would be computationally inefficient."
 ``FilterManager`` subscribes to an :class:`~repro.core.cache.ICACache` and
 mirrors every add/remove into the live AMQ filter. When an insert
 overflows the structure, the manager rebuilds at a larger capacity (a
-rare, amortized event — counted so experiments can report it).
+rare, amortized event — counted so experiments can report it). Versioned
+delta updates are applied on the distribution side, by
+:class:`~repro.amq.delta.DeltaApplier`; the manager only follows the cache.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro import obs
 from repro.amq import AMQFilter, FilterParams, canonical_params
-from repro.amq.delta import delta_seed
 from repro.amq.serialization import filter_class_for_name
 from repro.core.cache import ICACache
 from repro.core.filter_config import FilterPlan
-from repro.errors import ConfigurationError, FilterFullError
+from repro.errors import FilterFullError
 from repro.pki.certificate import Certificate
 
 
@@ -40,10 +41,6 @@ class FilterManager:
         #: item**, never per call, so experiment counters (Table 2 /
         #: Fig. 5) stay comparable whichever path performed the update.
         self.version = 0
-        #: Active delta-application epoch (see :meth:`apply_delta`); when
-        #: set, listener-triggered rebuilds are deferred and coalesced so
-        #: one patch causes at most one reconstruction.
-        self._epoch: "Optional[dict]" = None
         cache.subscribe(
             on_add_batch=self._on_add_batch,
             on_remove_batch=self._on_remove_batch,
@@ -65,20 +62,12 @@ class FilterManager:
         self.inserts += len(certs)
         self.version += len(certs)
         obs.inc("core.filter_manager.inserts", len(certs))
-        if self._epoch is not None and self._epoch["rebuild"]:
-            # The pending end-of-epoch rebuild reconstructs from the
-            # cache, which already includes this batch; inserting here
-            # would be wasted work into a filter about to be replaced.
-            return
         try:
             self._filter.insert_batch([cert.fingerprint() for cert in certs])
         except FilterFullError:
             # The cache already holds every cert of the batch, so the
             # rebuild re-inserts the ones the failed batch left behind.
-            if self._epoch is not None:
-                self._epoch["rebuild"] = True
-            else:
-                self._rebuild()
+            self._rebuild()
 
     def _on_remove_batch(self, certs: List[Certificate]) -> None:
         # Same per-item accounting as inserts: an expiry sweep dropping N
@@ -86,17 +75,8 @@ class FilterManager:
         self.deletes += len(certs)
         self.version += len(certs)
         obs.inc("core.filter_manager.deletes", len(certs))
-        if self._filter.supports_deletion and (
-            self._epoch is None or not self._epoch["rebuild"]
-        ):
+        if self._filter.supports_deletion:
             self._filter.delete_batch([cert.fingerprint() for cert in certs])
-        elif self._epoch is not None:
-            # Inside a delta epoch the rebuild is deferred to the epoch
-            # end so the remove- and add-halves of one patch coalesce
-            # into at most one reconstruction (previously the removal
-            # rebuild and an overflowing add's rebuild could both fire
-            # for a single application).
-            self._epoch["rebuild"] = True
         else:
             # Bloom baseline: deletion requires a rebuild (the exact
             # inefficiency §4.1 calls out — measured, not hidden). One
@@ -104,52 +84,9 @@ class FilterManager:
             # single reconstruction however many certs it drops.
             self._rebuild()
 
-    # -- delta application -----------------------------------------------------
-
-    def apply_delta(
-        self,
-        added: List[Certificate],
-        removed: List[Certificate],
-        version: Optional[int] = None,
-    ) -> None:
-        """Apply one versioned patch (remove then add) to cache and filter.
-
-        Each cache mutation fires its batch listener exactly once — one
-        ``on_remove_batch`` for the removal half, one ``on_add_batch``
-        for the addition half — and however the two halves overlap with
-        rebuild triggers (deletion-free family, insert overflow), the
-        epoch guard coalesces them into at most **one** rebuild, fired
-        after both halves with ``version`` folded into the rebuild seed
-        (:func:`repro.amq.delta.delta_seed`).
-
-        Raises ConfigurationError before any mutation when ``removed``
-        names a certificate the cache does not hold (a malformed patch
-        must not half-apply).
-        """
-        for cert in removed:
-            if cert not in self._cache:
-                raise ConfigurationError(
-                    "delta removes a certificate the cache does not hold: "
-                    f"{cert.subject!r}"
-                )
-        self._epoch = {"version": version, "rebuild": False}
-        try:
-            if removed:
-                self._cache.remove_many(removed)
-            if added:
-                self._cache.add_many(added)
-            epoch = self._epoch
-        finally:
-            self._epoch = None
-        if epoch["rebuild"]:
-            self._rebuild(version=epoch["version"])
-        obs.inc("core.filter_manager.delta_applies")
-
     # -- maintenance -----------------------------------------------------------
 
-    def _rebuild(
-        self, capacity: Optional[int] = None, version: Optional[int] = None
-    ) -> None:
+    def _rebuild(self) -> None:
         self.rebuilds += 1
         self.version += 1
         obs.inc("core.filter_manager.rebuilds")
@@ -158,32 +95,21 @@ class FilterManager:
             (("backend", self._plan.filter_kind),),
         ):
             needed = max(len(self._cache), 1)
-            new_capacity = capacity or max(
+            new_capacity = max(
                 self._plan.params.capacity, int(needed * 1.25) + 8
             )
-            seed = self._plan.params.seed
-            if version is not None:
-                # Delta-driven rebuilds fold the patch's version id into
-                # the hash seed so the advertised image matches what a
-                # DeltaApplier derives for the same version.
-                seed = delta_seed(self._plan.filter_kind, seed, version)
             params = canonical_params(
                 FilterParams(
                     capacity=new_capacity,
                     fpp=self._plan.params.fpp,
                     load_factor=self._plan.params.load_factor,
-                    seed=seed,
+                    seed=self._plan.params.seed,
                 )
             )
             cls = filter_class_for_name(self._plan.filter_kind)
             self._filter = cls.build_from_fingerprints(
                 params, self._cache.fingerprints()
             )
-
-    def force_rebuild(self) -> None:
-        """Rebuild at the planned capacity (e.g. after bulk expiry, to
-        reclaim the false-positive budget of a churned filter)."""
-        self._rebuild(capacity=self._plan.params.capacity)
 
     def consistent_with_cache(self) -> bool:
         """Every cached ICA must be present in the filter (the

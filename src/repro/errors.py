@@ -45,21 +45,6 @@ class FilterSerializationError(FilterError):
     """A filter wire image could not be parsed or round-tripped."""
 
 
-class FilterDeleteError(FilterError):
-    """A strict batch deletion failed because an item was not stored.
-
-    Raised by ``delete_batch_strict`` after the already-deleted prefix has
-    been restored, so the table is byte-identical to its pre-call state
-    (the deletion mirror of the ``FilterFullError`` swap-unwind contract).
-    :attr:`missing_index` records the position of the offending item in
-    the batch.
-    """
-
-    def __init__(self, message: str = "", missing_index: "int | None" = None):
-        super().__init__(message)
-        self.missing_index = missing_index
-
-
 class DeletionUnsupportedError(FilterError):
     """Deletion was requested on a filter type that cannot delete."""
 

@@ -1,13 +1,10 @@
-"""Strict batch deletion: all-or-nothing with byte-identical unwind.
+"""Batch deletion on the deleting families.
 
-``delete_batch_strict`` is the delta applier's removal path: a patch
-naming an item the table does not hold is malformed, and a malformed
-patch must leave the filter exactly as it found it. For the
-history-independent families (counting bloom, quotient) the generic
-re-insert unwind suffices; bucket tables (cuckoo, vacuum) remember
-*which* bucket stored each fingerprint, so they carry a slot-exact undo
-— these tests pin both, including the displaced-fingerprint case where
-a naive re-insert would land in the wrong bucket.
+``delete_batch`` is the filter side of the paper's dynamic-update path
+(§4.2, mirrored from the ICA cache by ``FilterManager``): per-item
+success flags, no counter underflow on a miss, and — for the
+history-independent families (counting bloom, quotient) — deletion
+lands on the same bytes as a fresh build of the survivors.
 """
 
 import pytest
@@ -22,7 +19,7 @@ from repro.amq import (
     XorFilter,
     canonical_params,
 )
-from repro.errors import DeletionUnsupportedError, FilterDeleteError
+from repro.errors import DeletionUnsupportedError
 from tests.conftest import make_items
 
 PARAMS = canonical_params(
@@ -41,39 +38,13 @@ def loaded(request, rng):
     return filt, items
 
 
-@pytest.fixture(params=[CuckooFilter, VacuumFilter], ids=["cuckoo", "vacuum"])
-def bucket_loaded(request, rng):
-    filt = request.param(PARAMS)
-    items = make_items(rng, 48)  # enough load to force kick chains
-    filt.insert_batch(items)
-    return filt, items
-
-
-def _displaced_item(filt, items, rng):
-    """An item stored in its *alternate* bucket (overflowed or kicked
-    there) — the case where a generic re-insert unwind would restore it
-    to the wrong slot. Tops the table up until one exists."""
-    items = list(items)
-    for _ in range(512):
-        for item in items:
-            fp = filt._fingerprint(item)
-            i1 = filt._index1(item)
-            if filt._bucket_find_slot(i1, fp) is None and (
-                filt._bucket_find_slot(filt._alt_index(i1, fp), fp)
-                is not None
-            ):
-                return item
-        extra = make_items(rng, 1)[0]
-        filt.insert(extra)
-        items.append(extra)
-    raise AssertionError("no displaced item at this load; raise the fill")
-
-
 class TestStrictDeleteSuccess:
+    """Batches whose every item is stored: each deletion succeeds."""
+
     def test_deletes_all_items(self, loaded):
         filt, items = loaded
         before = len(filt)
-        filt.delete_batch_strict(items[:5])
+        assert filt.delete_batch(items[:5]) == [True] * 5
         assert len(filt) == before - 5
         # Survivors must still answer true (no false negatives).
         assert all(filt.contains(i) for i in items[5:])
@@ -86,7 +57,7 @@ class TestStrictDeleteSuccess:
         filt = cls(PARAMS)
         items = make_items(rng, 30)
         filt.insert_batch(items)
-        filt.delete_batch_strict(items[10:20])
+        assert all(filt.delete_batch(items[10:20]))
         fresh = cls.build_from_fingerprints(
             PARAMS, items[:10] + items[20:]
         )
@@ -95,67 +66,8 @@ class TestStrictDeleteSuccess:
     def test_empty_batch_is_a_noop(self, loaded):
         filt, _ = loaded
         before = filt.to_bytes()
-        filt.delete_batch_strict([])
+        assert filt.delete_batch([]) == []
         assert filt.to_bytes() == before
-
-
-class TestStrictDeleteUnwind:
-    def test_missing_item_unwinds_byte_identically(self, loaded, rng):
-        filt, items = loaded
-        before = filt.to_bytes()
-        count = len(filt)
-        absent = make_items(rng, 1)[0]
-        with pytest.raises(FilterDeleteError) as exc:
-            filt.delete_batch_strict([items[0], items[1], absent])
-        assert exc.value.missing_index == 2
-        assert filt.to_bytes() == before
-        assert len(filt) == count
-
-    def test_first_item_missing_reports_index_zero(self, loaded, rng):
-        filt, items = loaded
-        before = filt.to_bytes()
-        absent = make_items(rng, 1)[0]
-        with pytest.raises(FilterDeleteError) as exc:
-            filt.delete_batch_strict([absent, items[0]])
-        assert exc.value.missing_index == 0
-        assert filt.to_bytes() == before
-        assert filt.contains(items[0])
-
-    def test_duplicate_batch_rejected_up_front(self, loaded):
-        filt, items = loaded
-        before = filt.to_bytes()
-        with pytest.raises(FilterDeleteError) as exc:
-            filt.delete_batch_strict([items[0], items[1], items[0]])
-        assert exc.value.missing_index is None
-        assert filt.to_bytes() == before
-
-    def test_displaced_fingerprint_restored_to_alternate_bucket(
-        self, bucket_loaded, rng
-    ):
-        # Regression for the slot-exact undo: delete a fingerprint that
-        # lives in its alternate bucket, then fail the batch. A generic
-        # re-insert would put it back in the *primary* bucket — the
-        # table would answer queries correctly but its bytes (and hence
-        # the advertised wire image) would differ from the pre-patch
-        # state, breaking payload dedup and the delta byte-identity.
-        filt, items = bucket_loaded
-        displaced = _displaced_item(filt, items, rng)
-        before = filt.to_bytes()
-        absent = make_items(rng, 1)[0]
-        with pytest.raises(FilterDeleteError):
-            filt.delete_batch_strict([displaced, absent])
-        assert filt.to_bytes() == before
-
-    def test_unwind_draws_no_rng(self, bucket_loaded, rng):
-        # The undo path writes slots directly; it must not advance the
-        # eviction rng, or a later insert would diverge from a filter
-        # that never saw the failed batch.
-        filt, items = bucket_loaded
-        absent = make_items(rng, 1)[0]
-        state = filt._rng.getstate()
-        with pytest.raises(FilterDeleteError):
-            filt.delete_batch_strict([items[3], items[7], absent])
-        assert filt._rng.getstate() == state
 
 
 class TestNonStrictUnchanged:
@@ -191,4 +103,4 @@ class TestNonStrictUnchanged:
         items = make_items(rng, 8)
         filt.insert_batch(items)
         with pytest.raises(DeletionUnsupportedError):
-            filt.delete_batch_strict(items[:2])
+            filt.delete_batch(items[:2])

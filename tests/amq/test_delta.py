@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.amq import (
     FILTER_REGISTRY,
-    NATIVE_DELTA_FAMILIES,
     DeltaApplier,
     DeltaPublisher,
     FilterDelta,
@@ -41,12 +40,10 @@ from repro.amq.delta import (
     delta_overhead_bytes,
     diff_items,
     params_at,
-    snapshot_overhead_bytes,
 )
 from repro.errors import ConfigurationError, FilterSerializationError
 
 FAMILIES = sorted(cls.name for cls in FILTER_REGISTRY.values())
-REBUILD_FAMILIES = sorted(set(FAMILIES) - NATIVE_DELTA_FAMILIES)
 
 
 def _item(i: int, length: int = 32) -> bytes:
@@ -100,31 +97,38 @@ def _forge_patch_body(
     return body
 
 
+def _image_seed(name: str, base_seed: int, version: int) -> int:
+    """The hash seed a family's canonical image at ``version`` carries
+    on the wire."""
+    filt = build_filter_at(name, 16, 1e-3, 0.9, base_seed, version, _UNIVERSE[:8])
+    return deserialize_filter(serialize_filter(filt)).params.seed
+
+
 class TestDeltaSeed:
     @pytest.mark.parametrize("name", FAMILIES)
     def test_version_zero_is_base_seed(self, name):
-        assert delta_seed(name, 12345, 0) == 12345
+        assert delta_seed(12345, 0) == 12345
+        assert _image_seed(name, 12345, 0) == 12345
 
     @pytest.mark.parametrize("name", FAMILIES)
     def test_wide_base_seed_masked_to_wire_width(self, name):
         wide = 2343948629979923722
-        assert delta_seed(name, wide, 0) == wide & 0xFFFFFFFF
+        assert delta_seed(wide, 0) == wide & 0xFFFFFFFF
+        assert _image_seed(name, wide, 0) == wide & 0xFFFFFFFF
 
-    @pytest.mark.parametrize("name", sorted(NATIVE_DELTA_FAMILIES))
-    def test_native_families_keep_base_seed(self, name):
-        # In-place patching requires stable hashing across versions.
-        assert delta_seed(name, 99, 7) == 99
-        assert delta_seed(name, 99, 1 << 40) == 99
-
-    @pytest.mark.parametrize("name", REBUILD_FAMILIES)
+    @pytest.mark.parametrize("name", FAMILIES)
     def test_rebuild_families_rotate_seed_per_version(self, name):
-        seeds = {delta_seed(name, 99, v) for v in range(6)}
-        assert len(seeds) == 6  # distinct per version, incl. the base
+        # Every family rebuilds per version: the base seed at v0, the
+        # version folded into the seed at every v >= 1.
+        seeds = [_image_seed(name, 99, v) for v in range(6)]
+        assert seeds == [delta_seed(99, v) for v in range(6)]
+        assert seeds[0] == 99
+        assert len(set(seeds)) == 6  # distinct per version, incl. the base
         assert all(0 <= s <= 0xFFFFFFFF for s in seeds)
 
     def test_params_at_folds_version_into_seed(self):
-        p = params_at("cuckoo", 64, 1e-3, 0.9, 42, 3)
-        assert p.seed == delta_seed("cuckoo", 42, 3)
+        p = params_at(64, 1e-3, 0.9, 42, 3)
+        assert p.seed == delta_seed(42, 3)
         assert p.capacity == 64
 
 
@@ -211,7 +215,6 @@ class TestWireRoundTrip:
 
     def test_overheads_agree(self):
         assert delta_overhead_bytes() == _DELTA_HEADER.size == 16
-        assert snapshot_overhead_bytes() == delta_overhead_bytes()
 
 
 class TestSerializeRejection:
@@ -588,48 +591,25 @@ class TestApplier:
         assert app.version == 0
         assert serialize_filter(app.filter) == before
 
-    def test_native_overflow_restores_byte_identically(self):
-        # A patch claiming the standing capacity but adding past it makes
-        # insert_batch overflow mid-way; the applier must restore the
-        # exact pre-patch table, not leave the added prefix behind.
-        app = DeltaApplier("counting-bloom", _UNIVERSE[:3], capacity=4, seed=7)
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_overflowing_patch_leaves_state_unchanged(self, name):
+        # A patch claiming a capacity of 4 but adding 40 items overflows
+        # the rebuild; every family surfaces the same typed error and
+        # keeps its version, items and image.
+        app = DeltaApplier(name, _UNIVERSE[:3], capacity=4, seed=7)
         before = app.image()
         patch = _patch(
-            filter_kind="counting-bloom", seed=7, capacity=4,
-            added=tuple(_UNIVERSE[50:55]),
+            filter_kind=name, seed=7, capacity=4,
+            added=tuple(_UNIVERSE[50:90]),
         )
-        with pytest.raises(FilterSerializationError, match="capacity"):
+        with pytest.raises(
+            FilterSerializationError, match="overflows the filter's capacity"
+        ):
             app.apply(patch)
         assert app.version == 0
         assert app.items == tuple(_UNIVERSE[:3])
+        assert app.image() == before
         assert serialize_filter(app.filter) == before
-
-    def test_native_missing_removal_restores_byte_identically(self):
-        # White-box: knock one item out of the table behind the applier's
-        # back so a well-formed patch names a fingerprint the filter no
-        # longer holds; strict delete must unwind and surface the
-        # malformation without corrupting the table further.
-        app = DeltaApplier("counting-bloom", _UNIVERSE[:4], capacity=8, seed=7)
-        app._filter.delete(_UNIVERSE[2])
-        before = serialize_filter(app._filter)
-        patch = _patch(
-            filter_kind="counting-bloom", seed=7, capacity=8,
-            removed_indices=(0, 2),
-        )
-        with pytest.raises(FilterSerializationError, match="does not hold"):
-            app.apply(patch)
-        assert app.version == 0
-        assert serialize_filter(app._filter) == before
-
-    def test_explicit_start_version_builds_folded_seed(self):
-        app = DeltaApplier(
-            "cuckoo", _UNIVERSE[:5], capacity=10, seed=7, version=4
-        )
-        fresh = build_filter_at("cuckoo", 10, 1e-3, 0.9, 7, 4, _UNIVERSE[:5])
-        assert app.image() == serialize_filter(fresh)
-        assert deserialize_filter(app.image()).params.seed == delta_seed(
-            "cuckoo", 7, 4
-        )
 
 
 def _run_trajectory(name, n0, steps, *, stepwise=True):
@@ -750,10 +730,8 @@ class TestObsCounters:
         assert reg.counter("amq.delta.publishes") == 2
         assert reg.counter("amq.delta.patches_applied") == 1
         assert reg.counter("amq.delta.epoch_merges") == 1
-        assert reg.counter("amq.delta.native_applies") == 1
         assert reg.counter("amq.delta.items_added") == 2
         assert reg.counter("amq.delta.items_removed") == 1
-        assert reg.counter("amq.delta.rebuilds") == 0
 
     def test_rebuild_and_resync_counters(self):
         with obs.scoped() as reg:
@@ -763,6 +741,6 @@ class TestObsCounters:
             pub.publish(_UNIVERSE[60:80])
             snap = deserialize_delta(pub.snapshot_message())
             app.apply(snap, snapshot_items=pub.items_at(snap.version))
-        assert reg.counter("amq.delta.rebuilds") == 1
-        assert reg.counter("amq.delta.native_applies") == 0
+        assert reg.counter("amq.delta.patches_applied") == 1
+        assert reg.counter("amq.delta.epoch_merges") == 0
         assert reg.counter("amq.delta.resyncs") == 1

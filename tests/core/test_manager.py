@@ -113,24 +113,15 @@ class TestRebuilds:
             for _ in range(1)
         ) or True  # fp possible; consistency is the contract
 
-    def test_force_rebuild_restores_plan_capacity(self, icas):
-        cache, mgr = make_manager(icas, capacity=10, preloaded=0)
-        for cert in icas:
-            cache.add(cert)
-        for cert in icas[10:]:
-            cache.remove(cert)
-        mgr.force_rebuild()
-        assert mgr.filter.params.capacity == mgr.plan.params.capacity
-        assert mgr.consistent_with_cache()
-
     def test_rebuild_records_span_histogram(self, icas):
         # The rebuild duration must land in the metrics export (the
         # fig5 metered arm's --metrics-out) as a labeled histogram.
         from repro import obs
 
-        cache, mgr = make_manager(icas, preloaded=20)
+        cache, mgr = make_manager(icas, capacity=10, preloaded=0)
         with obs.scoped() as reg:
-            mgr.force_rebuild()
+            cache.add_many(icas)  # one overflowing batch: one rebuild
+        assert mgr.rebuilds == 1
         hist = reg.histogram(
             "core.filter_manager.rebuild.seconds", (("backend", "cuckoo"),)
         )
@@ -178,84 +169,3 @@ class TestXorBufferedMutations:
 
         assert mgr.rebuilds == 0
         assert mgr.consistent_with_cache()
-
-
-class TestApplyDelta:
-    """Versioned patch application through the cache↔filter listener
-    path: one notification per half, at most one rebuild per patch."""
-
-    def _spy(self, cache):
-        adds, removes = [], []
-        cache.subscribe(
-            on_add_batch=lambda certs: adds.append(list(certs)),
-            on_remove_batch=lambda certs: removes.append(list(certs)),
-        )
-        return adds, removes
-
-    def test_deletion_family_applies_in_place(self, icas):
-        cache, mgr = make_manager(icas)
-        adds, removes = self._spy(cache)
-        mgr.apply_delta(added=icas[40:45], removed=icas[:5], version=1)
-        assert len(removes) == 1 and len(removes[0]) == 5
-        assert len(adds) == 1 and len(adds[0]) == 5
-        assert mgr.rebuilds == 0
-        assert mgr.deletes == 5 and mgr.inserts == 5
-        assert mgr.consistent_with_cache()
-
-    def test_bloom_patch_rebuilds_exactly_once(self, icas):
-        cache, mgr = make_manager(icas, kind="bloom")
-        adds, removes = self._spy(cache)
-        mgr.apply_delta(added=icas[40:50], removed=icas[:8], version=3)
-        assert len(removes) == 1
-        assert len(adds) == 1
-        assert mgr.rebuilds == 1  # coalesced: not one per half
-        assert mgr.consistent_with_cache()
-
-    def test_rebuild_folds_version_into_seed(self, icas):
-        from repro.amq.delta import delta_seed
-
-        cache, mgr = make_manager(icas, kind="bloom")
-        base_seed = mgr.plan.params.seed
-        mgr.apply_delta(added=[], removed=icas[:3], version=7)
-        assert mgr.filter.params.seed == delta_seed("bloom", base_seed, 7)
-
-    def test_versionless_rebuild_keeps_plan_seed(self, icas):
-        cache, mgr = make_manager(icas, kind="bloom")
-        mgr.apply_delta(added=[], removed=icas[:3])
-        assert mgr.filter.params.seed == mgr.plan.params.seed
-
-    def test_overflowing_patch_rebuilds_once(self, icas):
-        # A 16-slot table cannot hold 60 fingerprints; the add-half
-        # overflows mid-batch and the epoch defers the reconstruction —
-        # exactly one rebuild for the whole patch, not one per failure.
-        cache, mgr = make_manager(icas, capacity=10, preloaded=0)
-        mgr.apply_delta(added=icas[:60], removed=[], version=2)
-        assert mgr.rebuilds == 1
-        assert len(mgr.filter) == len(cache) == 60
-        assert mgr.consistent_with_cache()
-
-    def test_malformed_patch_rejected_before_mutation(self, icas):
-        from repro.errors import ConfigurationError
-
-        cache, mgr = make_manager(icas)
-        version_before = mgr.version
-        count_before = len(cache)
-        with pytest.raises(ConfigurationError, match="does not hold"):
-            mgr.apply_delta(added=icas[40:45], removed=[icas[45]], version=1)
-        assert len(cache) == count_before
-        assert mgr.version == version_before
-        assert mgr.consistent_with_cache()
-
-    def test_counters_advance_per_item(self, icas):
-        cache, mgr = make_manager(icas)
-        mgr.apply_delta(added=icas[40:44], removed=icas[:2], version=1)
-        assert mgr.version == mgr.inserts + mgr.deletes + mgr.rebuilds
-
-    def test_delta_applies_metered(self, icas):
-        from repro import obs
-
-        cache, mgr = make_manager(icas)
-        with obs.scoped() as reg:
-            mgr.apply_delta(added=[icas[40]], removed=[], version=1)
-            mgr.apply_delta(added=[icas[41]], removed=[], version=2)
-        assert reg.counter("core.filter_manager.delta_applies") == 2

@@ -73,19 +73,6 @@ class CacheFilterMachine(RuleBasedStateMachine):
                 headroom=2.0,
             ),
         )
-        # Spy on the batch listener path: apply_delta must fire each
-        # batch notification exactly once per patch application.
-        self._add_notifications = []
-        self._remove_notifications = []
-        self._delta_version = 0
-        self.cache.subscribe(
-            on_add_batch=lambda certs: self._add_notifications.append(
-                len(certs)
-            ),
-            on_remove_batch=lambda certs: self._remove_notifications.append(
-                len(certs)
-            ),
-        )
 
     @rule(index=st.integers(min_value=0, max_value=len(_POOL) - 1))
     def add_one(self, index):
@@ -123,47 +110,6 @@ class CacheFilterMachine(RuleBasedStateMachine):
             1 for c in self.cache.certificates() if rl.is_revoked(c)
         )
         assert self.cache.apply_revocations(rl) == expected
-
-    @rule(
-        add_indices=st.lists(
-            st.integers(min_value=0, max_value=len(_POOL) - 1),
-            unique=True, max_size=4,
-        ),
-        remove_indices=st.lists(
-            st.integers(min_value=0, max_value=len(_POOL) - 1),
-            unique=True, max_size=4,
-        ),
-    )
-    def apply_delta(self, add_indices, remove_indices):
-        """A versioned patch through the listener path: exactly one
-        ``on_remove_batch`` and one ``on_add_batch`` per application
-        (never zero, never doubled), at most one rebuild."""
-        removed = [
-            _POOL[i] for i in remove_indices if _POOL[i] in self.cache
-        ]
-        removed_fps = {c.fingerprint() for c in removed}
-        added = [
-            _POOL[i]
-            for i in add_indices
-            if _POOL[i] not in self.cache
-            or _POOL[i].fingerprint() in removed_fps
-        ]
-        self._delta_version += 1
-        adds_before = len(self._add_notifications)
-        removes_before = len(self._remove_notifications)
-        rebuilds_before = self.manager.rebuilds
-        self.manager.apply_delta(
-            added=added, removed=removed, version=self._delta_version
-        )
-        assert len(self._remove_notifications) - removes_before == (
-            1 if removed else 0
-        )
-        assert len(self._add_notifications) - adds_before == (
-            1 if added else 0
-        )
-        if removed:
-            assert self._remove_notifications[-1] == len(removed)
-        assert self.manager.rebuilds - rebuilds_before <= 1
 
     @rule()
     def sweep_everything(self):
