@@ -4,9 +4,9 @@
 Four arms, emitting ``BENCH_churn.json``:
 
 * ``equivalence`` — a small high-staleness cohort (stale generations keep
-  advertising revoked ICAs, so the FP-candidate replay path is exercised)
-  run through **both** engines; the results must be equal, with real
-  false-positive retries;
+  advertising revoked ICAs, so flagged FP-retry contexts are broadcast
+  from their representative) run through **both** engines; the results
+  must be equal, with real false-positive retries;
 * ``scalar``      — a small cohort through the scalar reference (every
   cell a real per-handshake TLS machine), to price one scalar handshake;
 * ``columnar``    — a large cohort (10K clients x 50 epochs; 100K clients
@@ -108,7 +108,7 @@ def run_benchmark(
 
     # Timers cover engine construction + run (world lifecycle included);
     # both arms share the same world knobs and a fresh (k=1) payload
-    # cadence so neither pays replay-path costs the other skips.
+    # cadence, so both price the same clean-handshake workload.
     scalar_config = ChurnCohortConfig(
         world=ChurnConfig(steps=epochs, seed=0),
         num_clients=scalar_clients,

@@ -16,6 +16,22 @@ They implement one protocol over one set of RNG streams, so the document
 is also byte-identical across ``engine`` — the cross-engine ``cmp`` the
 CI churn-smoke enforces.
 
+Cells are built trial-major and each carries its trial index.  The
+levels of one trial see one event stream, so they share a trace memo
+(:data:`~repro.webmodel.churn_columnar.TraceMemo`) and each distinct
+handshake context runs through the TLS machine once per trial rather
+than once per level.  Trials reseed the world, so no context recurs
+across them: :class:`_TrialTraces` drops the memo when the next trial's
+first cell arrives, and a process holds one trial's traces at a time.
+When there are at least as many trials as workers, the pool maps one
+trial's levels per chunk (``chunksize=len(staleness_levels)``) and every
+worker is still busy; with fewer trials than workers it keeps the pool's
+default split, so a lone trial's levels spread over the workers instead
+of queueing behind one memo.  The memo lives for one
+:func:`run_churn_experiment` call — a second call reaches the TLS
+machine again — and results come back in (level, trial) order for any
+``jobs``.
+
 Wire images and probe plans live in content-keyed artifact caches
 (:data:`repro.runtime.artifacts.CHURN_IMAGES` /
 :data:`~repro.runtime.artifacts.CHURN_PROBES`), so repeated trials and
@@ -28,20 +44,20 @@ per-process execution detail, not part of the deterministic document.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.errors import SimulationError
 from repro.runtime import artifacts
-from repro.runtime.parallel import (
-    derive_seed,
-    parallel_map,
-    resolve_jobs,
-    run_metered,
-)
+from repro.runtime.parallel import derive_seed, parallel_map, resolve_jobs
 from repro.webmodel.churn import ChurnConfig
-from repro.webmodel.churn_columnar import ChurnCohortConfig, run_churn_cohort
+from repro.webmodel.churn_columnar import (
+    ChurnCohortConfig,
+    TraceMemo,
+    run_churn_cohort,
+)
 from repro.webmodel.churn_reference import run_churn_cohort_reference
 
 #: The engines that can resolve a sweep cell.
@@ -112,10 +128,29 @@ def _cell_config(config: ChurnExperimentConfig, level: int, trial: int) -> Churn
     )
 
 
-def _run_cell(cell: Tuple[int, int, str, ChurnCohortConfig]) -> ChurnCellResult:
+class _TrialTraces:
+    """The trace memo of the trial a process is running (see the module
+    docstring): a cell of another trial starts an empty one."""
+
+    def __init__(self) -> None:
+        self.trial: Optional[int] = None
+        self.traces: TraceMemo = {}
+
+    def of(self, trial: int) -> TraceMemo:
+        if trial != self.trial:
+            self.trial, self.traces = trial, {}
+        return self.traces
+
+
+def _run_cell(
+    cell: Tuple[int, int, str, ChurnCohortConfig],
+    memo: Optional[_TrialTraces] = None,
+) -> ChurnCellResult:
     level, trial, engine, cfg = cell
-    runner = run_churn_cohort if engine == "columnar" else run_churn_cohort_reference
-    result = runner(cfg)
+    if engine == "columnar":
+        result = run_churn_cohort(cfg, memo.of(trial) if memo is not None else None)
+    else:
+        result = run_churn_cohort_reference(cfg)
     return ChurnCellResult(
         level=level,
         trial=trial,
@@ -146,6 +181,9 @@ def run_churn_experiment(
             f"unknown churn engine {config.engine!r}; expected one of "
             f"{CHURN_ENGINES}"
         )
+    levels = config.staleness_levels
+    if not levels:
+        return []
     cells = [
         (
             level,
@@ -157,27 +195,26 @@ def run_churn_experiment(
                 handshakes_per_client=config.handshakes_per_client,
             ),
         )
-        for level in config.staleness_levels
         for trial in range(config.trials)
+        for level in levels
     ]
+    # The pool pickles the memo once per chunk, so every chunk starts
+    # from its own empty one.
     jobs = resolve_jobs(jobs)
-    metered = obs.enabled()
-    if jobs <= 1 or len(cells) <= 1:
-        if not metered:
-            return [_run_cell(cell) for cell in cells]
-        results = []
-        for cell in cells:
-            result, snap = run_metered(_run_cell, cell)
-            obs.merge(snap)
-            results.append(result)
-        return results
-    return parallel_map(
-        _run_cell,
+    parallel = jobs > 1 and len(cells) > 1
+    results = parallel_map(
+        functools.partial(_run_cell, memo=_TrialTraces()),
         cells,
         jobs=jobs,
-        metered=metered,
-        shipped_caches=artifacts.export_shippable(),
+        metered=obs.enabled(),
+        shipped_caches=artifacts.export_shippable() if parallel else None,
+        chunksize=len(levels) if config.trials >= jobs else None,
     )
+    return [
+        results[trial * len(levels) + index]
+        for index in range(len(levels))
+        for trial in range(config.trials)
+    ]
 
 
 # -- reporting -------------------------------------------------------------------

@@ -38,15 +38,27 @@ is a pure function of its ``(generation, site)`` context: the advertised
 payload, the canonical cache, and the site's chain fully determine
 outcome, suppression and wire bytes (every length in the trace is fixed
 by algorithm parameters, not by the per-handshake seed — the property the
-differential suite pins).  So the engine probes each generation's filter
-image against the epoch's unique chain set with a single
-``contains_batch`` call, runs *one* representative handshake per context
-through the untouched :func:`~repro.tls.session.run_handshake`, and
-broadcasts its trace arithmetic over the context's population count.
-Contexts flagged as FP candidates (filter hit for a fingerprint the
-canonical cache no longer holds) or whose representative did anything but
-complete cleanly are replayed cell by cell through the real machine, the
-same escape hatch :mod:`repro.webmodel.cohort` uses for divergent users.
+differential suite pins).  So the engine runs *one* representative
+handshake per context through the untouched
+:func:`~repro.tls.session.run_handshake` and broadcasts its trace
+arithmetic over the context's population count — clean contexts and
+flagged ones (FP retries, fallbacks, failures) alike; no cell is
+replayed on its own.  Each occurring generation still probes its filter
+image against the epoch's unique chain set with one ``contains_batch``
+call, as an invariant check: the representative's first attempt must
+suppress exactly what that probe hits, or the epoch raises
+:class:`~repro.errors.SimulationError`.
+
+Representative traces live in a trace memo (:data:`TraceMemo`) the
+caller may share between engines, keyed by everything the trace reads:
+per epoch, the world config with the generation count normalised away,
+the step and the canonical cache's fingerprint digest; within the epoch,
+the site and the advertised payload.  The staleness levels of one trial
+share a world and — level by level — the same canonical cache, so an
+experiment that hands its levels one memo runs each distinct context
+once per trial.  A miss stores the handshake's obs-counter deltas and
+every hit replays them, so ``tls.*`` counters do not depend on which
+cell or worker ran the handshake.
 
 Wire images and bulk probes are memoized in content-keyed artifact caches
 (:data:`repro.runtime.artifacts.CHURN_IMAGES` /
@@ -60,9 +72,10 @@ serial == parallel determinism contract for ``amq.*``/``tls.*`` counters.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -468,7 +481,18 @@ class ChurnCohortState:
         return run_handshake(client_config, server_config)
 
 
-def _trace_stats(trace: HandshakeTrace) -> Tuple[int, int, int, int, int, int]:
+#: (completed, fp_retries, fallbacks, failures, suppressed, wire_bytes).
+TraceStats = Tuple[int, int, int, int, int, int]
+
+#: Trace memo of one context: (trace stats, obs snapshot of the
+#: representative handshake), keyed by (site index, advertised payload).
+EpochTraces = Dict[Tuple[int, bytes], Tuple[TraceStats, Dict[str, Any]]]
+
+#: Trace memo (see the module docstring): epoch key -> that epoch's traces.
+TraceMemo = Dict[tuple, EpochTraces]
+
+
+def _trace_stats(trace: HandshakeTrace) -> TraceStats:
     """(completed, fp_retries, fallbacks, failures, suppressed, wire_bytes)
     of one trace — the per-cell accounting of one handshake."""
     fp_retry = int(trace.outcome is HandshakeOutcome.COMPLETED_AFTER_RETRY)
@@ -484,14 +508,44 @@ def _trace_stats(trace: HandshakeTrace) -> Tuple[int, int, int, int, int, int]:
 
 
 class ChurnCohortEngine:
-    """The columnar engine: one representative trace per (generation,
-    site) context, broadcast over the context's population, with flagged
-    contexts replayed cell by cell through the real machine."""
+    """The columnar engine: one representative trace per distinct
+    handshake context, broadcast over the context's population; engines
+    sharing a ``traces`` memo run each context once between them."""
 
-    def __init__(self, config: ChurnCohortConfig = ChurnCohortConfig()) -> None:
+    def __init__(
+        self,
+        config: ChurnCohortConfig = ChurnCohortConfig(),
+        traces: Optional[TraceMemo] = None,
+    ) -> None:
         self.config = config
         self.state = ChurnCohortState(config)
         self._site_key = churn_stream_keys(config.world.seed)[SITE_STREAM]
+        self._traces: TraceMemo = {} if traces is None else traces
+        # Levels of one trial differ only in the generation count, which
+        # the trace never reads; normalising it away lets them share.
+        self._world_key = replace(config.world, payload_refresh_every=1)
+
+    def _context_stats(
+        self, traces: EpochTraces, step: int, client: int, slot: int,
+        site_index: int, payload: bytes,
+    ) -> TraceStats:
+        """The trace stats of one context, memoized with obs replay."""
+        key = (site_index, payload)
+        cached = traces.get(key)
+        if cached is None:
+            # With metrics off there is nothing to replay into, so the
+            # memo stores no snapshot (it would dominate the memo's size).
+            scope = obs.scoped() if obs.enabled() else contextlib.nullcontext()
+            with scope as registry:
+                trace = self.state.run_representative(
+                    step, client, slot, site_index, payload
+                )
+            snapshot = registry.snapshot() if registry is not None else {}
+            cached = (_trace_stats(trace), snapshot)
+            traces[key] = cached
+        stats, trace_metrics = cached
+        obs.merge(trace_metrics)
+        return stats
 
     def run_epoch(self, step: int) -> StepMetrics:
         cfg = self.config.world
@@ -508,7 +562,10 @@ class ChurnCohortEngine:
         # the flat per-site fingerprint list is the epoch's unique chain
         # set each generation resolves with one bulk probe.
         site_fps = [fps[0] for fps in chain_fps]
-        live = set(state.cache.fingerprints())
+        traces = self._traces.setdefault(
+            (self._world_key, step, _fingerprint_digest(state.cache.fingerprints())),
+            {},
+        )
 
         sites = epoch_site_column(self._site_key, step, n, slots, num_sites)
         gens = (np.arange(n, dtype=np.int64) % k)[:, None]
@@ -528,57 +585,31 @@ class ChurnCohortEngine:
         completed = fp_retries = fallbacks = failures = 0
         suppressed = wire_bytes = encountered = 0
         succeeded_sites: Set[int] = set()
-        replay_contexts: Set[int] = set()
 
         for context, first_cell in zip(present, first):
             g, site_index = divmod(int(context), num_sites)
             count = int(counts[context])
-            payload = state.captures[g][0]
-            hit = gen_hits[g][site_index]
-            # A filter hit for a fingerprint the canonical cache no longer
-            # holds is an FP *candidate*: path completion may still succeed
-            # through a cached cross-sign variant of the same subject, so
-            # the representative trace — not the probe — is the classifier.
-            candidate_fp = hit and site_fps[site_index] not in live
             client, slot = divmod(int(first_cell), slots)
-            trace = state.run_representative(step, client, slot, site_index, payload)
-            stats = _trace_stats(trace)
-            clean = (
-                not candidate_fp
-                and trace.outcome is HandshakeOutcome.COMPLETED
-                and stats[4] == int(hit)
+            c, r, fb, fail, sup, wire = self._context_stats(
+                traces, step, client, slot, site_index, state.captures[g][0]
             )
-            encountered += count * len(chain_fps[site_index])
-            if clean:
-                completed += count * stats[0]
-                suppressed += count * stats[4]
-                wire_bytes += count * stats[5]
-                if trace.succeeded:
-                    succeeded_sites.add(site_index)
-            else:
-                replay_contexts.add(int(context))
-
-        # Flagged contexts (FP candidates, retries, fallbacks, failures)
-        # replay exactly through the real machine, every cell with its own
-        # seeds — the cohort engine's divergent-user escape hatch.
-        if replay_contexts:
-            cells = np.flatnonzero(np.isin(flat, list(replay_contexts)))
-            for cell in cells:
-                client, slot = divmod(int(cell), slots)
-                g = generation_of(client, k)
-                site_index = int(sites[client, slot])
-                trace = state.run_representative(
-                    step, client, slot, site_index, state.captures[g][0]
+            # The server suppresses exactly what the advertised filter
+            # matches, so the first attempt must agree with the bulk probe.
+            if sup != int(gen_hits[g][site_index]):
+                raise SimulationError(
+                    f"step {step}, generation {g}, site {site_index}: the "
+                    f"representative suppressed {sup} ICA(s) but the bulk "
+                    f"probe says {gen_hits[g][site_index]}"
                 )
-                c, r, fb, fail, sup, wire = _trace_stats(trace)
-                completed += c
-                fp_retries += r
-                fallbacks += fb
-                failures += fail
-                suppressed += sup
-                wire_bytes += wire
-                if trace.succeeded:
-                    succeeded_sites.add(site_index)
+            encountered += count * len(chain_fps[site_index])
+            completed += count * c
+            fp_retries += count * r
+            fallbacks += count * fb
+            failures += count * fail
+            suppressed += count * sup
+            wire_bytes += count * wire
+            if c:
+                succeeded_sites.add(site_index)
 
         state.finish_epoch(succeeded_sites)
         handshakes = n * slots
@@ -620,7 +651,8 @@ class ChurnCohortEngine:
 
 def run_churn_cohort(
     config: ChurnCohortConfig = ChurnCohortConfig(),
+    traces: Optional[TraceMemo] = None,
 ) -> ChurnCohortResult:
     """Run the churn cohort protocol on the columnar engine (one call =
-    one pure function of ``config``)."""
-    return ChurnCohortEngine(config).run()
+    one pure function of ``config``; ``traces`` only shares work)."""
+    return ChurnCohortEngine(config, traces).run()

@@ -10,12 +10,14 @@ from repro.errors import SimulationError
 from repro.experiments.churn import (
     ChurnCellResult,
     ChurnExperimentConfig,
+    _TrialTraces,
     _cell_config,
     churn_cache_stats,
     churn_json_doc,
     format_churn,
     run_churn_experiment,
 )
+from repro.webmodel import churn_columnar
 from repro.webmodel.churn import ChurnConfig
 
 _SMALL = ChurnExperimentConfig(
@@ -25,6 +27,14 @@ _SMALL = ChurnExperimentConfig(
     clients=12,
     handshakes_per_client=2,
 )
+
+
+def _deterministic_counters():
+    return {
+        k: v
+        for k, v in obs.snapshot()["counters"].items()
+        if not k[0].startswith("runtime.artifacts.")
+    }
 
 
 @pytest.fixture(scope="module")
@@ -42,19 +52,11 @@ class TestParallelEquality:
         try:
             obs.enable()
             serial = run_churn_experiment(_SMALL, jobs=1)
-            serial_counters = {
-                k: v
-                for k, v in obs.snapshot()["counters"].items()
-                if not k[0].startswith("runtime.artifacts.")
-            }
+            serial_counters = _deterministic_counters()
             obs.disable()
             obs.enable()
             parallel = run_churn_experiment(_SMALL, jobs=2)
-            parallel_counters = {
-                k: v
-                for k, v in obs.snapshot()["counters"].items()
-                if not k[0].startswith("runtime.artifacts.")
-            }
+            parallel_counters = _deterministic_counters()
             assert parallel == serial
             assert parallel_counters == serial_counters
         finally:
@@ -65,6 +67,89 @@ class TestParallelEquality:
         serial_doc = json.dumps(churn_json_doc(_SMALL, results), sort_keys=True)
         parallel_doc = json.dumps(churn_json_doc(_SMALL, parallel), sort_keys=True)
         assert serial_doc == parallel_doc
+
+
+class TestTraceMemo:
+    """One TLS handshake per distinct context per trial: the memo is
+    shared by a trial's levels, dropped when the next trial starts, and
+    lives for exactly one sweep call."""
+
+    @staticmethod
+    def _count_handshakes(monkeypatch):
+        real = churn_columnar.run_handshake
+        calls = []
+
+        def counting(client_config, server_config):
+            calls.append(1)
+            return real(client_config, server_config)
+
+        monkeypatch.setattr(churn_columnar, "run_handshake", counting)
+        return calls
+
+    def test_back_to_back_calls_both_reach_the_tls_machine(self, monkeypatch):
+        calls = self._count_handshakes(monkeypatch)
+        per_call = []
+        for _ in range(2):
+            before = len(calls)
+            run_churn_experiment(_SMALL, jobs=1)
+            per_call.append(len(calls) - before)
+        assert per_call[0] > 0
+        assert per_call[1] == per_call[0]
+
+    def test_levels_of_a_trial_share_their_traces(self, monkeypatch):
+        calls = self._count_handshakes(monkeypatch)
+        config = dataclasses.replace(_SMALL, trials=1, staleness_levels=(1, 2, 4))
+        for level in config.staleness_levels:
+            churn_columnar.run_churn_cohort(
+                churn_columnar.ChurnCohortConfig(
+                    world=_cell_config(config, level, 0),
+                    num_clients=config.clients,
+                    handshakes_per_client=config.handshakes_per_client,
+                )
+            )
+        alone = len(calls)
+        del calls[:]
+        run_churn_experiment(config, jobs=1)
+        assert 0 < len(calls) < alone
+
+    def test_next_trial_starts_an_empty_memo(self):
+        memo = _TrialTraces()
+        first = memo.of(0)
+        first[("epoch",)] = {}
+        assert memo.of(0) is first
+        assert memo.of(1) == {}
+        assert memo.of(1) is not first
+
+    @pytest.mark.parametrize("trials", [1, 3])
+    def test_uneven_trial_sharding_is_jobs_invariant(self, trials):
+        # trials=1 < 2 workers keeps the pool's default split; trials=3
+        # maps one trial per chunk and does not divide evenly by 2.
+        config = dataclasses.replace(
+            _SMALL, trials=trials, staleness_levels=(1, 2, 4)
+        )
+        obs.disable()
+        try:
+            obs.enable()
+            serial = run_churn_experiment(config, jobs=1)
+            serial_counters = _deterministic_counters()
+            obs.disable()
+            obs.enable()
+            parallel = run_churn_experiment(config, jobs=2)
+            parallel_counters = _deterministic_counters()
+        finally:
+            obs.disable()
+        assert [(c.level, c.trial) for c in parallel] == [
+            (level, trial) for level in (1, 2, 4) for trial in range(trials)
+        ]
+        assert json.dumps(churn_json_doc(config, parallel), sort_keys=True) == (
+            json.dumps(churn_json_doc(config, serial), sort_keys=True)
+        )
+        assert parallel_counters == serial_counters
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_empty_level_list_returns_no_cells(self, jobs):
+        config = dataclasses.replace(_SMALL, staleness_levels=())
+        assert run_churn_experiment(config, jobs=jobs) == []
 
 
 class TestSweepShape:

@@ -4,7 +4,7 @@
 that introduced it and is **never regenerated**: it pins the integer
 aggregate stats of three fixed-seed churn cohorts, so any change to the
 lifecycle RNG streams, the churn cohort protocol (generation cadence,
-preload refresh, pooled learning, FP-candidate classification) or the
+preload refresh, pooled learning, flagged-context broadcast) or the
 accounting shows up as a diff against numbers that are in git history.
 Floats are excluded on purpose — the integer stats depend only on the
 seeded event stream and filter bytes, not on libm.

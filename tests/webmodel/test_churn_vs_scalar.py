@@ -2,8 +2,9 @@
 
 The contract (``repro.webmodel.churn_columnar`` docstring): for any churn
 cohort config, the columnar engine — generation-bucketed bulk probes,
-one representative handshake per (generation, site) context, flagged
-contexts replayed cell by cell — and the scalar reference
+one representative handshake per distinct context broadcast over every
+cell of that context, flagged (retrying, falling back) contexts
+included — and the scalar reference
 (:mod:`repro.webmodel.churn_reference`), which runs every cell through
 the untouched per-handshake TLS machine, reduce to *equal*
 :class:`~repro.webmodel.churn_columnar.ChurnCohortResult` objects:
@@ -15,21 +16,27 @@ Hypothesis drives that over cohort size × epochs × filter family × fpp ×
 ``payload_refresh_every`` × seed.  The deterministic anchors then force
 the interesting paths — stale generations paying real FP retries, high
 fpp probe false positives — so the property suite cannot pass vacuously
-on all-clean draws.
+on all-clean draws.  The premise tests pin why broadcast is exact: the
+anchors hold flagged contexts that several cells share, and the per-cell
+client/server seeds of such a context never change its trace stats.
 """
 
-import dataclasses
+import functools
+from collections import Counter
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
 from repro.errors import SimulationError
+from repro.tls.session import HandshakeOutcome
+from repro.webmodel import churn_columnar
 from repro.webmodel.churn import ChurnConfig
 from repro.webmodel.churn_columnar import (
     ChurnCohortConfig,
+    ChurnCohortState,
+    _trace_stats,
     capture_wire_image,
     generation_size,
     probe_image,
@@ -91,13 +98,11 @@ def test_any_churn_cohort_matches_scalar_reference(config):
     assert_equivalent(config)
 
 
-@pytest.mark.parametrize("filter_kind", ["cuckoo", "bloom", "vacuum"])
-def test_stale_generations_pay_retries_in_both_engines(filter_kind):
-    """A deterministic high-staleness run per filter family that *must*
-    take the FP-candidate replay path: stale generations keep advertising
-    revoked ICAs, lagging sites suppress them, and the handshake pays the
-    paper's false-positive retry — identically in both engines."""
-    config = _config(
+_ANCHOR_FAMILIES = ("cuckoo", "bloom", "vacuum")
+
+
+def _stale_anchor(filter_kind):
+    return _config(
         num_clients=12,
         handshakes_per_client=2,
         steps=10,
@@ -105,7 +110,15 @@ def test_stale_generations_pay_retries_in_both_engines(filter_kind):
         filter_kind=filter_kind,
         seed=7,
     )
-    result = assert_equivalent(config)
+
+
+@pytest.mark.parametrize("filter_kind", _ANCHOR_FAMILIES)
+def test_stale_generations_pay_retries_in_both_engines(filter_kind):
+    """A deterministic high-staleness run per filter family that *must*
+    broadcast flagged contexts: stale generations keep advertising
+    revoked ICAs, lagging sites suppress them, and the handshake pays the
+    paper's false-positive retry — identically in both engines."""
+    result = assert_equivalent(_stale_anchor(filter_kind))
     assert result.fp_retries > 0
     assert result.failures == 0
     assert result.stale_advertised_rate > 0.0
@@ -211,3 +224,97 @@ def test_artifact_cache_hits_replay_probe_and_build_metrics():
     assert warm_hits == cold_hits
     assert all(cold_hits)
     assert warm_p == cold_p
+
+
+def _cell_outcomes(config, monkeypatch):
+    """Per-context cell outcomes of the scalar reference: ``{(step,
+    generation, site): [outcome per cell]}``."""
+    outcomes = {}
+    real = ChurnCohortState.run_representative
+    k = config.world.payload_refresh_every
+
+    def recording(state, step, client, slot, site_index, payload):
+        trace = real(state, step, client, slot, site_index, payload)
+        key = (step, client % k, site_index)
+        outcomes.setdefault(key, []).append(trace.outcome)
+        return trace
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ChurnCohortState, "run_representative", recording)
+        run_churn_cohort_reference(config)
+    return outcomes
+
+
+def test_anchors_hold_flagged_contexts_shared_by_several_cells(monkeypatch):
+    """Broadcast premise: the differential anchors contain flagged
+    contexts (retry, fallback, failure) that more than one cell meets,
+    with one outcome for all of them — otherwise engine equality would
+    not exercise broadcasting a flagged representative at all."""
+    shared = Counter()
+    for family in _ANCHOR_FAMILIES:
+        for cells in _cell_outcomes(_stale_anchor(family), monkeypatch).values():
+            if cells[0] is not HandshakeOutcome.COMPLETED:
+                assert len(set(cells)) == 1
+                if len(cells) > 1:
+                    shared[family] += 1
+    assert sum(shared.values()) > 0, shared
+
+
+@functools.lru_cache(maxsize=None)
+def _first_flagged_epoch():
+    """Drive a stale anchor's cohort state to its first epoch holding
+    flagged contexts; returns ``(state, step, [(site, payload), ...])``.
+    Learning takes every site that completed (a valid protocol state;
+    the property below is about the TLS machine, not the draw)."""
+    state = ChurnCohortState(_stale_anchor("cuckoo"))
+    for step in range(state.config.world.steps):
+        state.begin_epoch(step)
+        flagged, succeeded = [], set()
+        for payload, _ in state.captures:
+            for site in range(state.config.world.num_sites):
+                trace = state.run_representative(step, 0, 0, site, payload)
+                if trace.outcome is not HandshakeOutcome.COMPLETED:
+                    flagged.append((site, payload))
+                if trace.succeeded:
+                    succeeded.add(site)
+        if flagged:
+            return state, step, flagged
+        state.finish_epoch(succeeded)
+    raise AssertionError("the stale anchor never flags a context")
+
+
+@given(
+    data=st.data(),
+    cells=st.lists(
+        st.tuples(st.integers(0, 10_000), st.integers(0, 7)),
+        min_size=2, max_size=2, unique=True,
+    ),
+)
+@settings(max_examples=20, deadline=None)
+def test_cell_seeds_never_change_a_flagged_contexts_trace_stats(data, cells):
+    """Two cells of one flagged context differ only in their
+    ``derive_seed`` client/server seeds, which set no lengths and no
+    outcome — so their trace stats are identical and broadcasting the
+    representative's stats is exact."""
+    state, step, flagged = _first_flagged_epoch()
+    site, payload = data.draw(st.sampled_from(flagged))
+    (client_a, slot_a), (client_b, slot_b) = cells
+    a = state.run_representative(step, client_a, slot_a, site, payload)
+    b = state.run_representative(step, client_b, slot_b, site, payload)
+    assert a.outcome is not HandshakeOutcome.COMPLETED
+    assert _trace_stats(a) == _trace_stats(b)
+
+
+def test_probe_disagreeing_with_the_representative_is_a_typed_error(monkeypatch):
+    """The bulk probe is an invariant check on the broadcast: a
+    representative whose first attempt suppressed something other than
+    what the generation's probe says must raise, not broadcast."""
+    real = probe_image
+
+    def flipped(payload, fingerprints):
+        hits = real(payload, fingerprints)
+        return (not hits[0],) + hits[1:]
+
+    monkeypatch.setattr(churn_columnar, "probe_image", flipped)
+    with pytest.raises(SimulationError, match="bulk probe"):
+        run_churn_cohort(_config(num_clients=12, steps=3, seed=7))
