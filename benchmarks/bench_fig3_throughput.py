@@ -294,6 +294,7 @@ def run_benchmark(
 
     report = {
         "benchmark": "fig3_throughput",
+        "cpu_count": os.cpu_count() or 1,
         "scale": {
             "num_items": num_items,
             "fpp": fig3.PAPER_FPP,

@@ -18,12 +18,9 @@ from repro.analysis.tables import format_table
 from repro.core.estimator import crypto_cpu_seconds
 from repro.netsim.tcp import TCPConfig, extra_flights, handshake_duration_s
 from repro.pki.algorithms import get_signature_algorithm
+from repro.webmodel.flight_probe import flight_sizes
 from repro.webmodel.population import ICAPopulation, PopulationConfig
-from repro.webmodel.session_sim import (
-    BrowsingSessionSimulator,
-    SessionConfig,
-    flight_sizes,
-)
+from repro.webmodel.session_sim import BrowsingSessionSimulator, SessionConfig
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,8 @@ Wire images and probe plans live in content-keyed artifact caches
 (:data:`repro.runtime.artifacts.CHURN_IMAGES` /
 :data:`~repro.runtime.artifacts.CHURN_PROBES`), so repeated trials and
 staleness levels sharing a trajectory prefix rehydrate each other's
-builds instead of rebuilding identical filters from scratch; the caches
-are shipped to cold workers on the parallel path. Hit rates are
+builds instead of rebuilding identical filters from scratch; forked
+workers inherit whatever the parent already built. Hit rates are
 reported out of band (``cache_stats`` is opt-in) because they are a
 per-process execution detail, not part of the deterministic document.
 """
@@ -201,13 +201,11 @@ def run_churn_experiment(
     # The pool pickles the memo once per chunk, so every chunk starts
     # from its own empty one.
     jobs = resolve_jobs(jobs)
-    parallel = jobs > 1 and len(cells) > 1
     results = parallel_map(
         functools.partial(_run_cell, memo=_TrialTraces()),
         cells,
         jobs=jobs,
         metered=obs.enabled(),
-        shipped_caches=artifacts.export_shippable() if parallel else None,
         chunksize=len(levels) if config.trials >= jobs else None,
     )
     return [

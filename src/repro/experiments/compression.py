@@ -15,7 +15,7 @@ from typing import List, Sequence
 
 from repro.analysis.tables import format_table
 from repro.tls.compression import CompressionAccounting, compare_mechanisms
-from repro.webmodel.session_sim import _micro_credential
+from repro.webmodel.flight_probe import micro_credential
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ def compression_comparison(
 ) -> List[CompressionRow]:
     rows = []
     for algorithm in algorithms:
-        credential, _ = _micro_credential(algorithm, num_icas)
+        credential, _ = micro_credential(algorithm, num_icas)
         rows.append(
             CompressionRow(
                 algorithm=algorithm,

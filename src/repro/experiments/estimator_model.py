@@ -16,7 +16,7 @@ from typing import List, Sequence
 from repro.analysis.tables import format_table
 from repro.core.estimator import HandshakeTimeModel, crypto_cpu_seconds
 from repro.pki.algorithms import get_signature_algorithm
-from repro.webmodel.session_sim import flight_sizes
+from repro.webmodel.flight_probe import flight_sizes
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from repro.analysis.tables import format_table
 from repro.netsim.tcp import TCPConfig, flights_needed
 from repro.tls.messages import split_handshake_stream
 from repro.tls.record import wire_size
-from repro.webmodel.session_sim import _micro_credential, flight_sizes
+from repro.webmodel.flight_probe import micro_credential
 from repro.pki.keys import KeyPair
 from repro.pki.algorithms import get_signature_algorithm
 from repro.pki.ocsp import OCSPStaple
@@ -63,7 +63,7 @@ def trace_handshake(
     tcp: TCPConfig = TCPConfig(),
 ) -> HandshakeFlow:
     """Run one handshake and record every message with its size."""
-    credential, store = _micro_credential(algorithm, num_icas)
+    credential, store = micro_credential(algorithm, num_icas)
     responder = KeyPair(get_signature_algorithm(algorithm), 0xE5D)
     ocsp = None
     scts: List[SignedCertificateTimestamp] = []

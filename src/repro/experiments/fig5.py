@@ -26,12 +26,12 @@ from repro.netsim.metrics import Summary, summarize
 from repro.netsim.tcp import TCPConfig, handshake_duration_s
 from repro.pki.algorithms import get_signature_algorithm
 from repro.pki.certificate import DEFAULT_ATTRIBUTE_BYTES
+from repro.webmodel.flight_probe import flight_sizes
 from repro.webmodel.population import ICAPopulation, PopulationConfig
 from repro.webmodel.session_sim import (
     BrowsingSessionSimulator,
     SessionConfig,
     SessionResult,
-    flight_sizes,
 )
 
 PAPER_REDUCTION = 0.73

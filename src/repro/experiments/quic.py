@@ -14,7 +14,7 @@ from typing import List, Sequence
 from repro.analysis.tables import format_table
 from repro.netsim.quic import QUICConfig, quic_flights_needed
 from repro.netsim.tcp import TCPConfig, flights_needed
-from repro.webmodel.session_sim import flight_sizes
+from repro.webmodel.flight_probe import flight_sizes
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ Instrumented call sites follow one idiom::
         reg.inc("tls.handshake.attempts", 1)
 
 so a disabled registry costs a global read and a ``None`` check — the
-near-zero overhead budget ``benchmarks/bench_fig5_sessions.py`` asserts.
+near-zero overhead budget ``tests/obs/test_disabled_overhead.py`` asserts.
 Cold paths may use the :func:`inc`/:func:`set_gauge`/:func:`observe`
 conveniences, which hide the check.
 

@@ -20,25 +20,14 @@ Design rules:
 * **Observable.** ``stats()`` exposes hits/misses/size per cache, and the
   ``DER_ENCODE`` event counter tracks how many actual DER assemblies
   happened, so tests can assert a warm run performs zero redundant work.
-* **Optional.** ``set_enabled(False)`` (or the ``disabled()`` context
-  manager) turns every *disableable* cache into a pass-through, which is
-  how the benchmark harness measures the uncached baseline. Caches that
-  pre-date this subsystem's semantics (the flight-size memo) are marked
-  non-disableable so experiment loops never regress to re-probing.
-* **Shippable.** ``export_shippable()`` / ``import_entries()`` move
-  picklable cache contents into freshly initialized worker processes so
-  cold workers do not re-probe what the parent already measured.
+* **Always on.** There is no pass-through mode; pool workers are forked,
+  so they start with every entry the parent already holds.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
-from contextlib import contextmanager
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
-
-_ENABLED = True
-_LOCK = threading.Lock()
+from typing import Any, Dict, Hashable, Optional
 
 
 class EventCounter:
@@ -69,29 +58,14 @@ class EventCounter:
 class ContentCache:
     """A bounded LRU keyed by content-derived hashable keys."""
 
-    def __init__(
-        self,
-        name: str,
-        max_entries: int,
-        disableable: bool = True,
-        shippable: bool = False,
-    ) -> None:
+    def __init__(self, name: str, max_entries: int) -> None:
         self.name = name
         self.max_entries = max_entries
-        self.disableable = disableable
-        self.shippable = shippable
         self.hits = 0
         self.misses = 0
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
 
-    @property
-    def active(self) -> bool:
-        return _ENABLED or not self.disableable
-
     def get(self, key: Hashable) -> Optional[Any]:
-        if not self.active:
-            self.misses += 1
-            return None
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
@@ -101,8 +75,6 @@ class ContentCache:
         return entry
 
     def put(self, key: Hashable, value: Any) -> None:
-        if not self.active:
-            return
         self._entries[key] = value
         self._entries.move_to_end(key)
         while len(self._entries) > self.max_entries:
@@ -117,17 +89,6 @@ class ContentCache:
     def reset_stats(self) -> None:
         self.hits = 0
         self.misses = 0
-
-    def export(self) -> List[Tuple[Hashable, Any]]:
-        """Entries as a picklable list (insertion/LRU order preserved)."""
-        return list(self._entries.items())
-
-    def import_entries(self, entries: Iterable[Tuple[Hashable, Any]]) -> int:
-        count = 0
-        for key, value in entries:
-            self.put(key, value)
-            count += 1
-        return count
 
     def snapshot(self) -> Dict[str, int]:
         return {"hits": self.hits, "misses": self.misses, "size": len(self)}
@@ -169,64 +130,26 @@ DER_FRAGMENTS = _register(ContentCache("der_fragments", max_entries=8192))
 #: ServerCredential; content-addressed leaf issuance (the population
 #: derives leaf seeds from (population seed, rank), so the key is pure).
 CREDENTIALS = _register(ContentCache("credentials", max_entries=8192))
-#: Flight-size probe memo; shipped to workers and never disabled (the
-#: TTFB loops would otherwise re-run one handshake per sample).
-FLIGHT_SIZES = _register(
-    ContentCache("flight_sizes", max_entries=4096, disableable=False, shippable=True)
-)
-#: ("streams", cohort seed) -> {namespace: 64-bit stream key} for the
-#: cohort engine's counter-based RNG; shipped to workers and never
-#: disabled so every process derives draws from one key set (the
-#: seed-derivation round-trip the cohort RNG property tests pin).
-COHORT_STREAMS = _register(
-    ContentCache(
-        "cohort_streams", max_entries=1024, disableable=False, shippable=True
-    )
-)
+#: Flight-size probe memo (the TTFB loops would otherwise re-run one
+#: handshake per sample).
+FLIGHT_SIZES = _register(ContentCache("flight_sizes", max_entries=4096))
 
 #: ("image", kind, fpp, load_factor, seed, fingerprints digest) ->
 #: (serialized advertised payload, obs snapshot) for the columnar churn
 #: engine's per-generation wire images; keyed by cache *content* (the
 #: ordered fingerprint list), so identical churn states across trials,
 #: staleness levels and ``--jobs`` workers share one filter build.
-CHURN_IMAGES = _register(
-    ContentCache("churn_images", max_entries=256, shippable=True)
-)
+CHURN_IMAGES = _register(ContentCache("churn_images", max_entries=256))
 #: ("probe", payload digest, fingerprints digest) -> (hit tuple, obs
 #: snapshot): the per-(generation, epoch) bulk membership probe of the
 #: columnar churn engine. Values carry the amq.* counter snapshot so a
 #: hit replays the probe's metrics instead of silently skipping them.
-CHURN_PROBES = _register(
-    ContentCache("churn_probes", max_entries=4096, shippable=True)
-)
+CHURN_PROBES = _register(ContentCache("churn_probes", max_entries=4096))
 
 #: Actual DER assemblies of Certificate objects (encode events, not cache
 #: lookups): ``misses`` counts real encodes, ``hits`` counts memoized
 #: returns. A warm run must not advance ``misses``.
 DER_ENCODE = _register_event(EventCounter("der_encode"))
-
-
-def enabled() -> bool:
-    return _ENABLED
-
-
-def set_enabled(value: bool) -> None:
-    """Globally enable/disable the disableable caches (pass-through mode)."""
-    global _ENABLED
-    with _LOCK:
-        _ENABLED = bool(value)
-
-
-@contextmanager
-def disabled():
-    """Run a block with every disableable cache bypassed (the benchmark
-    harness's uncached baseline)."""
-    previous = _ENABLED
-    set_enabled(False)
-    try:
-        yield
-    finally:
-        set_enabled(previous)
 
 
 def stats() -> Dict[str, Dict[str, int]]:
@@ -250,23 +173,3 @@ def clear() -> None:
         cache.clear()
     reset_stats()
 
-
-def export_shippable() -> Dict[str, List[Tuple[Hashable, Any]]]:
-    """Picklable contents of the caches marked shippable — what a parent
-    process sends along when it warms cold workers."""
-    return {
-        name: cache.export()
-        for name, cache in _CACHES.items()
-        if cache.shippable and len(cache)
-    }
-
-
-def import_entries(shipped: Dict[str, List[Tuple[Hashable, Any]]]) -> int:
-    """Load shipped cache contents (unknown cache names are ignored, so
-    newer parents can ship to older workers)."""
-    count = 0
-    for name, entries in (shipped or {}).items():
-        cache = _CACHES.get(name)
-        if cache is not None:
-            count += cache.import_entries(entries)
-    return count

@@ -10,9 +10,8 @@ exactly the list its serial loop would. Determinism is the contract:
   worker-local state, ``seed * 1009 + i``-style arithmetic that collides
   across streams, or anything dependent on which worker ran the item;
 * workers are initialized once per process (rebuilding the population /
-  simulator there, not pickling it per task), optionally pre-warmed with
-  shipped artifact-cache contents (see
-  :func:`repro.runtime.artifacts.export_shippable`).
+  simulator there, not pickling it per task); where the platform forks,
+  they also start with every artifact-cache entry the parent holds.
 
 Failures propagate cleanly: an exception raised by ``fn`` in a worker
 re-raises in the parent with its original type; a worker dying outright
@@ -82,25 +81,6 @@ def derive_seed(namespace: str, *components: Any, bits: int = 63) -> int:
     return int.from_bytes(h.digest(), "big") >> (256 - bits)
 
 
-# Worker-side bootstrap state: the user initializer runs exactly once per
-# worker process, after shipped artifact caches are imported.
-_BOOTSTRAPPED: Dict[int, bool] = {}
-
-
-def _bootstrap_worker(
-    shipped: Optional[Dict[str, List[Tuple[Any, Any]]]],
-    initializer: Optional[Callable[..., None]],
-    initargs: Sequence[Any],
-) -> None:
-    from repro.runtime import artifacts
-
-    if shipped:
-        artifacts.import_entries(shipped)
-    if initializer is not None:
-        initializer(*initargs)
-    _BOOTSTRAPPED[os.getpid()] = True
-
-
 def run_metered(fn: Callable[[Any], Any], item: Any) -> Tuple[Any, Dict[str, Any]]:
     """Run one work item inside a fresh metrics scope.
 
@@ -164,7 +144,6 @@ def parallel_map(
     jobs: Optional[int] = None,
     initializer: Optional[Callable[..., None]] = None,
     initargs: Sequence[Any] = (),
-    shipped_caches: Optional[Dict[str, List[Tuple[Any, Any]]]] = None,
     chunksize: Optional[int] = None,
     metered: bool = False,
 ) -> List[Any]:
@@ -184,7 +163,7 @@ def parallel_map(
     jobs = min(jobs, max(1, len(items)))
     mapped_fn = functools.partial(_metered_call, fn) if metered else fn
     if jobs <= 1 or len(items) <= 1:
-        out = _serial_map(mapped_fn, items, initializer, initargs, shipped_caches)
+        out = _serial_map(mapped_fn, items, initializer, initargs)
         return _merge_metered(out) if metered else out
 
     try:
@@ -193,7 +172,7 @@ def parallel_map(
 
         context = _pool_context()
     except (ImportError, OSError, ValueError):
-        out = _serial_map(mapped_fn, items, initializer, initargs, shipped_caches)
+        out = _serial_map(mapped_fn, items, initializer, initargs)
         return _merge_metered(out) if metered else out
 
     if chunksize is None:
@@ -201,8 +180,8 @@ def parallel_map(
     executor = ProcessPoolExecutor(
         max_workers=jobs,
         mp_context=context,
-        initializer=_bootstrap_worker,
-        initargs=(shipped_caches, initializer, tuple(initargs)),
+        initializer=initializer,
+        initargs=tuple(initargs),
     )
     try:
         out = list(executor.map(mapped_fn, items, chunksize=chunksize))
@@ -226,9 +205,9 @@ def _serial_map(
     items: List[Any],
     initializer: Optional[Callable[..., None]],
     initargs: Sequence[Any],
-    shipped_caches: Optional[Dict[str, List[Tuple[Any, Any]]]],
 ) -> List[Any]:
-    """In-process fallback with identical semantics (initializer runs
-    once, shipped caches are imported)."""
-    _bootstrap_worker(shipped_caches, initializer, initargs)
+    """In-process fallback with identical semantics (the initializer runs
+    once)."""
+    if initializer is not None:
+        initializer(*initargs)
     return [fn(item) for item in items]

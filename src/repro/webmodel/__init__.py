@@ -15,6 +15,8 @@ browsing) with calibrated generative models:
   third-party content per page);
 * :mod:`repro.webmodel.session_sim` — the browsing-session simulator
   behind Fig. 5, reading outcomes from the cohort engine's per-path facts;
+* :mod:`repro.webmodel.flight_probe` — exact ClientHello and server-flight
+  sizes, measured by one real handshake per chain shape;
 * :mod:`repro.webmodel.cohort` — the columnar cohort engine (Fig. 5 at
   traffic scale).
 """

@@ -154,14 +154,8 @@ class ChurnCohortResult(ChurnResult):
 
 
 def churn_stream_keys(seed: int) -> Dict[str, int]:
-    """Stream keys of the churn cohort under ``seed`` (memoized in the
-    shippable stream cache so every worker derives one key set)."""
-    key = ("churn-streams", seed)
-    cached = artifacts.COHORT_STREAMS.get(key)
-    if cached is None:
-        cached = {SITE_STREAM: stream_key(SITE_STREAM, seed)}
-        artifacts.COHORT_STREAMS.put(key, cached)
-    return cached
+    """Stream keys of the churn cohort under ``seed``."""
+    return {SITE_STREAM: stream_key(SITE_STREAM, seed)}
 
 
 def epoch_site_counters(

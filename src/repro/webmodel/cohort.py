@@ -61,7 +61,6 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.pki.algorithms import get_signature_algorithm
 from repro.pki.certificate import DEFAULT_ATTRIBUTE_BYTES
 from repro.pki.store import IntermediatePreload
-from repro.runtime import artifacts
 from repro.runtime.parallel import parallel_map, resolve_jobs, run_metered
 from repro.webmodel import cohortrng
 from repro.webmodel.population import ICAPopulation, PopulationConfig
@@ -133,23 +132,15 @@ class CohortConfig:
 
 
 def cohort_stream_keys(seed: int) -> Dict[str, int]:
-    """The cohort's three stream keys, routed through the shippable
-    ``cohort_streams`` artifact cache so parent-derived keys ride along to
-    worker processes (and round-trip the export/import path the property
-    tests exercise)."""
-    cache_key = ("streams", seed)
-    cached = artifacts.COHORT_STREAMS.get(cache_key)
-    if cached is None:
-        cached = {
-            ns: cohortrng.stream_key(ns, seed)
-            for ns in (
-                cohortrng.RANK_STREAM,
-                cohortrng.RTT_A_STREAM,
-                cohortrng.RTT_B_STREAM,
-            )
-        }
-        artifacts.COHORT_STREAMS.put(cache_key, cached)
-    return cached
+    """The cohort's three stream keys under ``seed``."""
+    return {
+        ns: cohortrng.stream_key(ns, seed)
+        for ns in (
+            cohortrng.RANK_STREAM,
+            cohortrng.RTT_A_STREAM,
+            cohortrng.RTT_B_STREAM,
+        )
+    }
 
 
 @dataclass(frozen=True)
@@ -569,7 +560,6 @@ class CohortEngine:
                 jobs=jobs,
                 initializer=_cohort_worker_init,
                 initargs=(payload,),
-                shipped_caches=artifacts.export_shippable(),
                 metered=metered,
             )
         return finalize_cohort(cfg, parts, len(self._payload))

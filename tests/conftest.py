@@ -5,8 +5,11 @@ Fixture *source* lives in ``tests/_fixtures.py`` and is shared with
 population/chain input data; this file only adapts it to pytest.
 """
 
+import contextlib
+
 import pytest
 
+from repro.runtime.artifacts import ContentCache
 from tests._fixtures import (
     make_items as _make_items,
     make_paper_params,
@@ -42,3 +45,22 @@ def reduced_population():
     """The small shared PKI the cohort tests (and the cohort benchmark's
     equivalence smoke) run against; memoized process-wide."""
     return shared_population(reduced_population_config())
+
+
+@pytest.fixture
+def bypass_artifact_caches(monkeypatch):
+    """A context manager under which every artifact cache misses and
+    stores nothing — the cold path a test compares a cached run against."""
+
+    def miss(self, key):
+        self.misses += 1
+        return None
+
+    @contextlib.contextmanager
+    def bypass():
+        with monkeypatch.context() as patch:
+            patch.setattr(ContentCache, "get", miss)
+            patch.setattr(ContentCache, "put", lambda self, key, value: None)
+            yield
+
+    return bypass

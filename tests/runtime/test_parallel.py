@@ -43,7 +43,7 @@ def _read_init(_):
     return _INIT_STATE.get("tag")
 
 
-def _read_shipped(key):
+def _read_flight_size(key):
     from repro.runtime import artifacts
 
     return artifacts.FLIGHT_SIZES.get(key)
@@ -165,15 +165,21 @@ class TestParallelMap:
         )
         assert out == ["tag-pool"] * 4
 
-    def test_shipped_caches_reach_workers(self):
+    def test_forked_workers_inherit_parent_caches(self):
+        # Fork copies every cache entry the parent holds, so pool workers
+        # start warm without being sent anything.
+        import multiprocessing
+
         from repro.runtime import artifacts
 
-        key = ("__test_ship__", "kem", 0, True)
-        shipped = {"flight_sizes": [(key, (111, 222))]}
         try:
-            out = parallel_map(
-                _read_shipped, [key] * 4, jobs=2, shipped_caches=shipped
-            )
+            multiprocessing.get_context("fork")
+        except ValueError:
+            pytest.skip("no fork start method on this platform")
+        key = ("__test_fork__", "kem", 0, True)
+        artifacts.FLIGHT_SIZES.put(key, (111, 222))
+        try:
+            out = parallel_map(_read_flight_size, [key] * 4, jobs=2)
             assert out == [(111, 222)] * 4
         finally:
             artifacts.FLIGHT_SIZES._entries.pop(key, None)

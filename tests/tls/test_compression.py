@@ -17,10 +17,10 @@ from repro.tls.messages import split_handshake_stream
 
 @pytest.fixture(scope="module")
 def chains():
-    from repro.webmodel.session_sim import _micro_credential
+    from repro.webmodel.flight_probe import micro_credential
 
-    conventional, _ = _micro_credential("ecdsa-p256", 2)
-    pq, _ = _micro_credential("dilithium3", 2)
+    conventional, _ = micro_credential("ecdsa-p256", 2)
+    pq, _ = micro_credential("dilithium3", 2)
     return conventional.chain, pq.chain
 
 

@@ -12,9 +12,7 @@ here:
 * per-user rows and block matrices address the identical counters, so
   any sharding (``--jobs``, ``block_users``) reproduces every draw —
   including through the engine itself (results and deterministic
-  counters invariant across jobs/block size);
-* stream keys round-trip the shippable runtime artifact cache
-  (export/import is how worker processes inherit them).
+  counters invariant across jobs/block size).
 """
 
 import numpy as np
@@ -24,7 +22,6 @@ from hypothesis import strategies as st
 
 from tests._fixtures import reduced_population_config, shared_population
 
-from repro.runtime import artifacts
 from repro.webmodel import cohortrng
 from repro.webmodel.cohort import (
     CohortConfig,
@@ -186,29 +183,3 @@ class TestEngineShardingInvariance:
         # Retries present, so the invariance covers the replay path too.
         assert serial.stats.retries > 0
 
-
-class TestStreamKeyShipping:
-    @pytest.fixture(autouse=True)
-    def _clean_artifacts(self):
-        artifacts.clear()
-        yield
-        artifacts.clear()
-
-    def test_keys_round_trip_the_shippable_artifact_cache(self):
-        parent = cohort_stream_keys(5)
-        shipped = artifacts.export_shippable()
-        assert any(
-            entry for name, entry in shipped.items() if name == "cohort_streams"
-        )
-        artifacts.clear()
-        assert artifacts.COHORT_STREAMS.get(("streams", 5)) is None
-        artifacts.import_entries(shipped)
-        # A worker that imports the shipped caches sees the parent's keys
-        # without recomputing them...
-        assert artifacts.COHORT_STREAMS.get(("streams", 5)) == parent
-        # ...and recomputation would agree anyway (content-derived).
-        assert cohort_stream_keys(5) == parent
-
-    def test_cache_hit_returns_same_mapping(self):
-        first = cohort_stream_keys(9)
-        assert cohort_stream_keys(9) is first

@@ -3,10 +3,10 @@
 The contracts this file pins down:
 
 * sessions are pure functions of (config, run index): repeated runs,
-  fresh simulators and cache-disabled simulators all agree;
+  fresh simulators and cache-bypassed simulators all agree;
 * artifact-cache hits never change handshake byte accounting — a warm
   handshake reports the same ``client_hello_bytes`` /
-  ``server_flight_bytes`` / ``ica_bytes_sent`` as a cold or cache-disabled
+  ``server_flight_bytes`` / ``ica_bytes_sent`` as a cold or cache-bypassed
   one;
 * a warm repeat of the same handshakes performs zero redundant DER
   encodes.
@@ -50,10 +50,10 @@ def test_same_seed_same_results_across_simulators():
     assert sim2.run(0) == r1
 
 
-def test_disabled_caches_reproduce_session_result():
+def test_disabled_caches_reproduce_session_result(bypass_artifact_caches):
     sim = BrowsingSessionSimulator(_small_config(9))
     enabled_result = sim.run(0)
-    with artifacts.disabled():
+    with bypass_artifact_caches():
         sim2 = BrowsingSessionSimulator(
             _small_config(9), lookup_seconds=sim._lookup_seconds
         )
@@ -103,11 +103,11 @@ def _attempt_bytes(world, rank):
     )
 
 
-def test_cache_hits_do_not_change_handshake_bytes(world):
+def test_cache_hits_do_not_change_handshake_bytes(world, bypass_artifact_caches):
     artifacts.clear()
     cold = _attempt_bytes(world, rank=1)
     warm = _attempt_bytes(world, rank=1)  # same handshake, now cache-served
-    with artifacts.disabled():
+    with bypass_artifact_caches():
         bypassed = _attempt_bytes(world, rank=1)
     assert cold == warm == bypassed
 

@@ -3,11 +3,8 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.webmodel.session_sim import (
-    BrowsingSessionSimulator,
-    SessionConfig,
-    flight_sizes,
-)
+from repro.webmodel.flight_probe import flight_sizes
+from repro.webmodel.session_sim import BrowsingSessionSimulator, SessionConfig
 
 
 @pytest.fixture(scope="module")
