@@ -26,7 +26,7 @@ from tests._fixtures import (  # noqa: E402
     shared_population,
 )
 
-assert POPULATION_SEED == 1  # the seed every checked-in BENCH_*.json used
+assert POPULATION_SEED == 1  # the seed the benchmark floors were measured at
 
 
 @pytest.fixture(scope="session")

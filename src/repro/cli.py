@@ -53,12 +53,6 @@ def _run_fig3(args) -> None:
     print(fig3.format_throughput(fig3.throughput(num_items=args.ops)))
     print()
     print(
-        fig3.format_batch_throughput(
-            fig3.batch_throughput(num_items=max(args.ops, 10_000))
-        )
-    )
-    print()
-    print(
         fig3.format_capacity_sweep(
             fig3.capacity_sweep(), fig3.budget_capacities()
         )

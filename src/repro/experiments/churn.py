@@ -49,7 +49,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError
 from repro.runtime import artifacts
 from repro.runtime.parallel import derive_seed, parallel_map, resolve_jobs
 from repro.webmodel.churn import ChurnConfig
@@ -175,9 +175,9 @@ def run_churn_experiment(
 ) -> List[ChurnCellResult]:
     """Run the sweep; results ordered by (level, trial) for any ``jobs``."""
     if config.trials < 1:
-        raise SimulationError(f"trials must be >= 1, got {config.trials}")
+        raise ConfigurationError(f"trials must be >= 1, got {config.trials}")
     if config.engine not in CHURN_ENGINES:
-        raise SimulationError(
+        raise ConfigurationError(
             f"unknown churn engine {config.engine!r}; expected one of "
             f"{CHURN_ENGINES}"
         )

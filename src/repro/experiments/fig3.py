@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.amq import FilterParams, canonical_params, max_capacity_within
 from repro.amq.serialization import filter_class_for_name
@@ -118,148 +118,15 @@ def format_max_load(loads: Dict[str, float]) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ThroughputResult:
-    kind: str
-    insert_ops_per_s: float
-    query_ops_per_s: float
-    delete_ops_per_s: float
-
-
-def throughput(
-    kinds: Sequence[str] = DYNAMIC_KINDS,
-    num_items: int = 5_000,
-    seed: int = 7,
-) -> List[ThroughputResult]:
-    """Measured insert/query/delete throughput at the paper's operating
-    point (0.9 target load)."""
-    import random
-
-    rng = random.Random(seed)
-    items = [rng.getrandbits(256).to_bytes(32, "big") for _ in range(num_items)]
-    probes = [rng.getrandbits(256).to_bytes(32, "big") for _ in range(num_items)]
-    results = []
-    for kind in kinds:
-        cls = filter_class_for_name(kind)
-        params = canonical_params(
-            FilterParams(
-                capacity=num_items, fpp=PAPER_FPP, load_factor=PAPER_LOAD_FACTOR,
-                seed=seed,
-            )
-        )
-        filt = cls(params)
-        t0 = time.perf_counter()
-        filt.insert_all(items)
-        t_insert = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        for probe in probes:
-            filt.contains(probe)
-        for item in items:
-            filt.contains(item)
-        t_query = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        for item in items:
-            filt.delete(item)
-        t_delete = time.perf_counter() - t0
-        results.append(
-            ThroughputResult(
-                kind=kind,
-                insert_ops_per_s=num_items / t_insert,
-                query_ops_per_s=2 * num_items / t_query,
-                delete_ops_per_s=num_items / t_delete,
-            )
-        )
-    return results
-
-
-@dataclass(frozen=True)
-class BatchThroughputResult:
-    """Scalar-loop vs ``*_batch`` throughput for one structure."""
-
-    kind: str
-    batch_size: int
-    scalar_insert_ops_per_s: float
-    batch_insert_ops_per_s: float
-    scalar_query_ops_per_s: float
-    batch_query_ops_per_s: float
-
-    @property
-    def insert_speedup(self) -> float:
-        return self.batch_insert_ops_per_s / self.scalar_insert_ops_per_s
-
-    @property
-    def query_speedup(self) -> float:
-        return self.batch_query_ops_per_s / self.scalar_query_ops_per_s
-
-
 BATCH_KINDS = ("bloom",) + DYNAMIC_KINDS + ("xor",)
 
 
-def batch_throughput(
-    kinds: Sequence[str] = BATCH_KINDS,
-    num_items: int = 10_000,
-    seed: int = 7,
-) -> List[BatchThroughputResult]:
-    """Scalar-vs-batch ops/sec at the paper's operating point.
-
-    Measures the same workload twice per structure: a per-item
-    insert/contains loop against ``insert_batch``/``contains_batch`` on a
-    twin filter. The query probe set is half absent, half present items,
-    as in :func:`throughput`.
-    """
-    import random
-
-    rng = random.Random(seed)
-    items = [rng.getrandbits(256).to_bytes(32, "big") for _ in range(num_items)]
-    probes = [rng.getrandbits(256).to_bytes(32, "big") for _ in range(num_items)]
-    mix = probes[: num_items // 2] + items[: num_items // 2]
-    results = []
-    for kind in kinds:
-        cls = filter_class_for_name(kind)
-        params = canonical_params(
-            FilterParams(
-                capacity=num_items, fpp=PAPER_FPP, load_factor=PAPER_LOAD_FACTOR,
-                seed=seed,
-            )
-        )
-        scalar_filt = cls(params)
-        t0 = time.perf_counter()
-        for item in items:
-            scalar_filt.insert(item)
-        t_scalar_insert = time.perf_counter() - t0
-        if kind == "xor":
-            scalar_filt.contains(items[0])  # fold the one-off build out
-        t0 = time.perf_counter()
-        for probe in mix:
-            scalar_filt.contains(probe)
-        t_scalar_query = time.perf_counter() - t0
-
-        batch_filt = cls(params)
-        t0 = time.perf_counter()
-        batch_filt.insert_batch(items)
-        t_batch_insert = time.perf_counter() - t0
-        if kind == "xor":
-            batch_filt.contains(items[0])
-        t0 = time.perf_counter()
-        batch_filt.contains_batch(mix)
-        t_batch_query = time.perf_counter() - t0
-        results.append(
-            BatchThroughputResult(
-                kind=kind,
-                batch_size=num_items,
-                scalar_insert_ops_per_s=num_items / t_scalar_insert,
-                batch_insert_ops_per_s=num_items / t_batch_insert,
-                scalar_query_ops_per_s=len(mix) / t_scalar_query,
-                batch_query_ops_per_s=len(mix) / t_batch_query,
-            )
-        )
-    return results
-
-
 @dataclass(frozen=True)
-class BulkBuildThroughputResult:
-    """Scalar loop vs batch insert vs ``build_from_fingerprints`` for one
-    structure, plus the query throughput of the finished filter."""
+class ThroughputResult:
+    """Build, query and delete throughput of one structure, each build
+    and query measured on the scalar per-item path and the vectorized
+    path. ``delete_ops_per_s`` is ``None`` for families without
+    deletion (bloom, xor)."""
 
     kind: str
     num_items: int
@@ -268,6 +135,7 @@ class BulkBuildThroughputResult:
     bulk_build_ops_per_s: float
     scalar_query_ops_per_s: float
     batch_query_ops_per_s: float
+    delete_ops_per_s: Optional[float]
 
     @property
     def batch_build_speedup(self) -> float:
@@ -282,25 +150,28 @@ class BulkBuildThroughputResult:
         return self.batch_query_ops_per_s / self.scalar_query_ops_per_s
 
 
-def bulk_build_throughput(
+def throughput(
     kinds: Sequence[str] = BATCH_KINDS,
-    num_items: int = 1 << 16,
+    num_items: int = 5_000,
     seed: int = 7,
-) -> List[BulkBuildThroughputResult]:
-    """Build-path throughput at 2^16 scale: the scalar insert loop every
-    session construction used to pay, the in-place ``insert_batch``
-    kernels, and the full ``build_from_fingerprints`` producer path
-    (construction + batch insert, as the filter plans and manager
-    rebuilds run it). A single ``contains`` inside each timed build
-    window forces the xor filter's deferred peel construction so its
-    build cost is not hidden in the first query; for the other backends
-    the extra probe is noise. The xor scalar arm runs its construction
-    under :func:`repro.amq.peel.scalar_spec_mode`, so "scalar build"
-    means the full list-backed specification construction for every
-    family alike (the other backends' scalar arms pay per-item scalar
-    placement the same way) while the batch/bulk arms exercise the
-    array-native peel engine. Queries run against the bulk-built filter
-    over the usual half-absent/half-present probe mix.
+) -> List[ThroughputResult]:
+    """Measured throughput at the paper's operating point (0.9 target
+    load), per structure:
+
+    * **build** three ways — the scalar ``insert`` loop, in-place
+      ``insert_batch``, and the ``build_from_fingerprints`` producer path
+      (construction + batch insert, as the filter plans and manager
+      rebuilds run it). A single ``contains`` inside each timed build
+      window forces the xor filter's deferred peel construction so its
+      build cost is not hidden in the first query. The xor scalar arm
+      runs under :func:`repro.amq.peel.scalar_spec_mode`, so "scalar
+      build" means the list-backed specification construction for every
+      family alike;
+    * **query** — a per-item ``contains`` loop and one ``contains_batch``
+      call on the bulk-built filter, over a half-absent/half-present
+      probe mix;
+    * **delete** — every item, one by one, for the families in
+      :data:`DYNAMIC_KINDS`.
     """
     import random
     from contextlib import nullcontext
@@ -347,8 +218,15 @@ def bulk_build_throughput(
         t0 = time.perf_counter()
         bulk_filt.contains_batch(mix)
         t_batch_query = time.perf_counter() - t0
+
+        delete_ops_per_s = None
+        if kind in DYNAMIC_KINDS:
+            t0 = time.perf_counter()
+            for item in items:
+                bulk_filt.delete(item)
+            delete_ops_per_s = num_items / (time.perf_counter() - t0)
         results.append(
-            BulkBuildThroughputResult(
+            ThroughputResult(
                 kind=kind,
                 num_items=num_items,
                 scalar_build_ops_per_s=num_items / t_scalar_build,
@@ -356,14 +234,13 @@ def bulk_build_throughput(
                 bulk_build_ops_per_s=num_items / t_bulk_build,
                 scalar_query_ops_per_s=len(mix) / t_scalar_query,
                 batch_query_ops_per_s=len(mix) / t_batch_query,
+                delete_ops_per_s=delete_ops_per_s,
             )
         )
     return results
 
 
-def format_bulk_build_throughput(
-    results: Sequence[BulkBuildThroughputResult],
-) -> str:
+def format_throughput(results: Sequence[ThroughputResult]) -> str:
     rows = [
         [
             r.kind,
@@ -371,8 +248,10 @@ def format_bulk_build_throughput(
             f"{r.batch_build_ops_per_s:,.0f}",
             f"{r.bulk_build_ops_per_s:,.0f}",
             f"{r.bulk_build_speedup:.1f}x",
+            f"{r.scalar_query_ops_per_s:,.0f}",
             f"{r.batch_query_ops_per_s:,.0f}",
             f"{r.batch_query_speedup:.1f}x",
+            "-" if r.delete_ops_per_s is None else f"{r.delete_ops_per_s:,.0f}",
         ]
         for r in results
     ]
@@ -380,61 +259,20 @@ def format_bulk_build_throughput(
     return format_table(
         [
             "structure",
-            "scalar build/s",
+            "insert/s",
             "insert_batch/s",
             "bulk build/s",
             "build speedup",
-            "contains_batch/s",
-            "query speedup",
-        ],
-        rows,
-        title=f"Fig. 3-center companion — bulk-build path ({n:,} items)",
-    )
-
-
-def format_batch_throughput(results: Sequence[BatchThroughputResult]) -> str:
-    rows = [
-        [
-            r.kind,
-            f"{r.scalar_insert_ops_per_s:,.0f}",
-            f"{r.batch_insert_ops_per_s:,.0f}",
-            f"{r.insert_speedup:.1f}x",
-            f"{r.scalar_query_ops_per_s:,.0f}",
-            f"{r.batch_query_ops_per_s:,.0f}",
-            f"{r.query_speedup:.1f}x",
-        ]
-        for r in results
-    ]
-    batch = results[0].batch_size if results else 0
-    return format_table(
-        [
-            "structure",
-            "insert/s",
-            "insert_batch/s",
-            "speedup",
             "query/s",
             "contains_batch/s",
-            "speedup",
+            "query speedup",
+            "delete/s",
         ],
         rows,
-        title=f"Fig. 3-center companion — scalar vs batch ops/sec ({batch:,}-item batches)",
-    )
-
-
-def format_throughput(results: Sequence[ThroughputResult]) -> str:
-    rows = [
-        [
-            r.kind,
-            f"{r.insert_ops_per_s:,.0f}",
-            f"{r.query_ops_per_s:,.0f}",
-            f"{r.delete_ops_per_s:,.0f}",
-        ]
-        for r in results
-    ]
-    return format_table(
-        ["structure", "insert/s", "query/s", "delete/s"],
-        rows,
-        title="Fig. 3-center — throughput (pure Python; see EXPERIMENTS.md)",
+        title=(
+            f"Fig. 3-center — throughput ({n:,} items; pure Python, "
+            "see EXPERIMENTS.md)"
+        ),
     )
 
 

@@ -38,7 +38,7 @@ from typing import List, Optional, Tuple
 
 from repro import obs
 from repro.core.suppression import ServerSuppressor
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError
 from repro.pki.authority import (
     CA_VALIDITY,
     CertificateAuthority,
@@ -238,13 +238,13 @@ class ChurnWorld:
 
     def __init__(self, config: ChurnConfig = ChurnConfig()) -> None:
         if config.steps < 0:
-            raise SimulationError(f"steps must be >= 0, got {config.steps}")
+            raise ConfigurationError(f"steps must be >= 0, got {config.steps}")
         if config.num_roots < 1:
-            raise SimulationError(
+            raise ConfigurationError(
                 f"num_roots must be >= 1, got {config.num_roots}"
             )
         if config.initial_icas < 2:
-            raise SimulationError(
+            raise ConfigurationError(
                 f"initial_icas must be >= 2, got {config.initial_icas}"
             )
         self.config = config

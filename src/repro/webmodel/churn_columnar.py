@@ -90,7 +90,7 @@ from repro.amq.delta import (
 from repro.core.cache import ICACache
 from repro.core.extension import build_extension_payload, parse_extension_payload
 from repro.core.filter_config import memoized_build, plan_filter
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.runtime import artifacts
 from repro.runtime.parallel import derive_seed
 from repro.tls.client import ClientConfig
@@ -125,21 +125,21 @@ class ChurnCohortConfig:
 
     def __post_init__(self) -> None:
         if self.num_clients < 1:
-            raise SimulationError(
+            raise ConfigurationError(
                 f"num_clients must be >= 1, got {self.num_clients}"
             )
         if self.handshakes_per_client < 1:
-            raise SimulationError(
+            raise ConfigurationError(
                 f"handshakes_per_client must be >= 1, got "
                 f"{self.handshakes_per_client}"
             )
         if self.world.payload_refresh_every < 1:
-            raise SimulationError(
+            raise ConfigurationError(
                 f"payload_refresh_every must be >= 1, got "
                 f"{self.world.payload_refresh_every}"
             )
         if self.world.distribution not in ("full", "delta"):
-            raise SimulationError(
+            raise ConfigurationError(
                 f"distribution must be 'full' or 'delta', got "
                 f"{self.world.distribution!r}"
             )

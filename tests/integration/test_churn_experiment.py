@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro import obs
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError
 from repro.experiments.churn import (
     ChurnCellResult,
     ChurnExperimentConfig,
@@ -181,13 +181,13 @@ class TestSweepShape:
         assert rate[4] > rate[1]
 
     def test_rejects_zero_trials(self):
-        with pytest.raises(SimulationError):
+        with pytest.raises(ConfigurationError):
             run_churn_experiment(
                 ChurnExperimentConfig(trials=0, base=_SMALL.base)
             )
 
     def test_rejects_unknown_engine(self):
-        with pytest.raises(SimulationError):
+        with pytest.raises(ConfigurationError):
             run_churn_experiment(
                 dataclasses.replace(_SMALL, engine="quantum")
             )

@@ -70,6 +70,8 @@ class TestExecution:
             ("fig5-left", "--runs", "runs must be >= 1"),
             ("fig5-right", "--runs", "runs must be >= 1"),
             ("fig5-left", "--domains", "num_domains must be >= 1"),
+            ("churn", "--runs", "trials must be >= 1"),
+            ("churn", "--clients", "num_clients must be >= 1"),
         ],
     )
     def test_empty_fig5_inputs_are_usage_errors(

@@ -125,10 +125,15 @@ class TestFig3:
 
     def test_throughput_positive_and_fast(self):
         results = fig3.throughput(num_items=1500)
+        assert [r.kind for r in results] == list(fig3.BATCH_KINDS)
         for r in results:
-            assert r.insert_ops_per_s > 1_000
-            assert r.query_ops_per_s > 5_000
-            assert r.delete_ops_per_s > 500
+            assert r.scalar_build_ops_per_s > 1_000
+            assert r.batch_build_ops_per_s > 1_000
+            assert r.scalar_query_ops_per_s > 5_000
+            if r.kind in fig3.DYNAMIC_KINDS:
+                assert r.delete_ops_per_s > 500
+            else:
+                assert r.delete_ops_per_s is None
 
     def test_capacity_sweep_monotone(self):
         sweep = fig3.capacity_sweep(capacities=(100, 245, 700, 1400))

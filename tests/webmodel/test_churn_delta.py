@@ -14,7 +14,7 @@ import dataclasses
 import pytest
 
 from repro import obs
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError
 from repro.webmodel.churn import ChurnConfig
 from repro.webmodel.churn_columnar import (
     ChurnCohortConfig,
@@ -42,7 +42,7 @@ def _cfg(distribution, refresh_every=2, steps=6, seed=11, **world_kw):
 
 class TestConfigValidation:
     def test_unknown_distribution_rejected(self):
-        with pytest.raises(SimulationError, match="distribution"):
+        with pytest.raises(ConfigurationError, match="distribution"):
             _cfg("gossip")
 
 

@@ -29,7 +29,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.tls.session import HandshakeOutcome
 from repro.webmodel import churn_columnar
 from repro.webmodel.churn import ChurnConfig
@@ -178,13 +178,13 @@ def test_zero_epochs_is_a_valid_cohort():
 
 
 def test_cohort_config_validation():
-    with pytest.raises(SimulationError):
+    with pytest.raises(ConfigurationError):
         ChurnCohortConfig(num_clients=0)
-    with pytest.raises(SimulationError):
+    with pytest.raises(ConfigurationError):
         ChurnCohortConfig(handshakes_per_client=0)
-    with pytest.raises(SimulationError):
+    with pytest.raises(ConfigurationError):
         ChurnCohortConfig(world=ChurnConfig(payload_refresh_every=0))
-    with pytest.raises(SimulationError):
+    with pytest.raises(ConfigurationError):
         # The world still rejects negative horizons.
         run_churn_cohort(_config(steps=-1))
 

@@ -3,17 +3,17 @@ identity, and seed handling through the cohort engine."""
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError
 from repro.webmodel.churn import ChurnConfig, ChurnWorld
 from repro.webmodel.churn_columnar import ChurnCohortConfig, run_churn_cohort
 
 
 def test_bad_world_configs_rejected():
-    with pytest.raises(SimulationError, match="num_roots"):
+    with pytest.raises(ConfigurationError, match="num_roots"):
         ChurnWorld(ChurnConfig(num_roots=0))
-    with pytest.raises(SimulationError, match="initial_icas"):
+    with pytest.raises(ConfigurationError, match="initial_icas"):
         ChurnWorld(ChurnConfig(initial_icas=1))
-    with pytest.raises(SimulationError, match="steps"):
+    with pytest.raises(ConfigurationError, match="steps"):
         ChurnWorld(ChurnConfig(steps=-1))
 
 
