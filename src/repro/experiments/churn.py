@@ -19,10 +19,13 @@ CI churn-smoke enforces.
 Cells are built trial-major and each carries its trial index.  The
 levels of one trial see one event stream, so they share a trace memo
 (:data:`~repro.webmodel.churn_columnar.TraceMemo`) and each distinct
-handshake context runs through the TLS machine once per trial rather
-than once per level.  Trials reseed the world, so no context recurs
-across them: :class:`_TrialTraces` drops the memo when the next trial's
-first cell arrives, and a process holds one trial's traces at a time.
+handshake context — per epoch, a site, the advertised payload's length
+and the probe hit on the site's chain, which is all the trace reads from
+the payload — runs through the TLS machine once per trial rather than
+once per level or per payload image.  Trials reseed the world, so no
+context recurs across them: :class:`_TrialTraces` drops the memo when the
+next trial's first cell arrives, and a process holds one trial's traces
+at a time.
 When there are at least as many trials as workers, the pool maps one
 trial's levels per chunk (``chunksize=len(staleness_levels)``) and every
 worker is still busy; with fewer trials than workers it keeps the pool's

@@ -306,8 +306,8 @@ class ChurnWorld:
         candidates = [
             (i, r)
             for i, r in enumerate(self.records)
-            if r.live_variant(step, self.crl, at_time) is not None
-            and r.expire_step > step + 1
+            if r.expire_step > step + 1
+            and r.live_variant(step, self.crl, at_time) is not None
         ]
         if not candidates:
             return False
@@ -333,8 +333,8 @@ class ChurnWorld:
         servable = [
             i
             for i, r in enumerate(self.records)
-            if r.live_variant(step, self.crl, at_time) is not None
-            and r.expire_step > step + 1
+            if r.expire_step > step + 1
+            and r.live_variant(step, self.crl, at_time) is not None
         ]
         if len(servable) <= 2:  # keep the ecosystem servable
             return False
@@ -356,11 +356,12 @@ class ChurnWorld:
     def _make_site(self, hostname: str, step: int, rng: random.Random) -> _Site:
         cfg = self.config
         at_time = step * cfg.step_seconds
+        # Cheap expiry test first; each record's live variant is read once.
         servable = [
-            (i, r.live_variant(step, self.crl, at_time))
+            (i, variant)
             for i, r in enumerate(self.records)
-            if r.live_variant(step, self.crl, at_time) is not None
-            and r.expire_step > step + 1
+            if r.expire_step > step + 1
+            and (variant := r.live_variant(step, self.crl, at_time)) is not None
         ]
         if not servable:
             # Renewal issuance: when revocations plus expiries have drained

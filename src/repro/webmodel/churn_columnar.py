@@ -5,7 +5,7 @@ engine (:mod:`repro.webmodel.cohort`): N clients advance as numpy columns
 across churn *epochs* (the world's steps), and the per-epoch handshake
 work collapses from ``N × slots`` scalar TLS sessions to one bulk
 membership probe per payload *generation* plus one representative
-handshake per distinct ``(generation, site)`` context.
+handshake per distinct ``(site, payload length, chain hits)`` context.
 
 **The churn cohort protocol.** Both this engine and its executable scalar
 spec (:mod:`repro.webmodel.churn_reference`) implement the exact same
@@ -34,31 +34,39 @@ trajectory so that it vectorizes:
   in the reference, in any process and any sharding.
 
 **Vectorization strategy.**  Within an epoch the TLS trace of a handshake
-is a pure function of its ``(generation, site)`` context: the advertised
-payload, the canonical cache, and the site's chain fully determine
-outcome, suppression and wire bytes (every length in the trace is fixed
-by algorithm parameters, not by the per-handshake seed — the property the
-differential suite pins).  So the engine runs *one* representative
+is a pure function of its ``(site, payload length, chain hits)`` context.
+The client carries the advertised payload only as ClientHello extension
+bytes, so only its length reaches the trace; the server reads it only
+through :class:`~repro.core.suppression.ServerSuppressor`, whose
+membership test on the served chain — the generation's bulk-probe hit
+for the site — decides what is suppressed; and the canonical cache
+(path completion), trust store, time and the site's credential are fixed
+by the epoch and the site.  Every other length in the trace is fixed by
+algorithm parameters, not by the per-handshake seed — the property the
+differential suite pins.  So the engine runs *one* representative
 handshake per context through the untouched
 :func:`~repro.tls.session.run_handshake` and broadcasts its trace
 arithmetic over the context's population count — clean contexts and
 flagged ones (FP retries, fallbacks, failures) alike; no cell is
-replayed on its own.  Each occurring generation still probes its filter
-image against the epoch's unique chain set with one ``contains_batch``
-call, as an invariant check: the representative's first attempt must
-suppress exactly what that probe hits, or the epoch raises
-:class:`~repro.errors.SimulationError`.
+replayed on its own.  Each occurring generation probes its filter image
+against the epoch's unique chain set with one ``contains_batch`` call;
+the hits key the contexts, and the representative's first attempt must
+suppress exactly what the probe hits, or the epoch raises
+:class:`~repro.errors.SimulationError`.  Every served chain must hold
+exactly one ICA (one hit per site); a longer chain raises too.
 
 Representative traces live in a trace memo (:data:`TraceMemo`) the
 caller may share between engines, keyed by everything the trace reads:
 per epoch, the world config with the generation count normalised away,
 the step and the canonical cache's fingerprint digest; within the epoch,
-the site and the advertised payload.  The staleness levels of one trial
-share a world and — level by level — the same canonical cache, so an
-experiment that hands its levels one memo runs each distinct context
-once per trial.  A miss stores the handshake's obs-counter deltas and
-every hit replays them, so ``tls.*`` counters do not depend on which
-cell or worker ran the handshake.
+the site, the advertised payload's length and the probe hit on the
+site's ICA.  Generations whose images differ but agree on both share one
+handshake.  The staleness levels of one trial share a world and — level
+by level — the same canonical cache, so an experiment that hands its
+levels one memo runs each distinct context once per trial.  A miss
+stores the handshake's obs-counter deltas and every hit replays them, so
+``tls.*`` counters do not depend on which cell or worker ran the
+handshake.
 
 Wire images and bulk probes are memoized in content-keyed artifact caches
 (:data:`repro.runtime.artifacts.CHURN_IMAGES` /
@@ -478,9 +486,11 @@ class ChurnCohortState:
 #: (completed, fp_retries, fallbacks, failures, suppressed, wire_bytes).
 TraceStats = Tuple[int, int, int, int, int, int]
 
-#: Trace memo of one context: (trace stats, obs snapshot of the
-#: representative handshake), keyed by (site index, advertised payload).
-EpochTraces = Dict[Tuple[int, bytes], Tuple[TraceStats, Dict[str, Any]]]
+#: Trace memo of one epoch: (trace stats, obs snapshot of the
+#: representative handshake), keyed by the context (site index, advertised
+#: payload length, bulk-probe hit on the site's ICA) — everything the
+#: handshake reads from the payload.
+EpochTraces = Dict[Tuple[int, int, bool], Tuple[TraceStats, Dict[str, Any]]]
 
 #: Trace memo (see the module docstring): epoch key -> that epoch's traces.
 TraceMemo = Dict[tuple, EpochTraces]
@@ -521,10 +531,17 @@ class ChurnCohortEngine:
 
     def _context_stats(
         self, traces: EpochTraces, step: int, client: int, slot: int,
-        site_index: int, payload: bytes,
+        site_index: int, payload: bytes, hit: bool,
     ) -> TraceStats:
-        """The trace stats of one context, memoized with obs replay."""
-        key = (site_index, payload)
+        """The trace stats of one context, memoized with obs replay.
+
+        The client carries the payload only as extension bytes (its
+        length) and the server reads it only through the suppressor's
+        membership test on the served chain (``hit``); everything else the
+        trace reads is fixed by the epoch key and the site.  So payloads
+        of one length and one hit share a trace.
+        """
+        key = (site_index, len(payload), hit)
         cached = traces.get(key)
         if cached is None:
             # With metrics off there is nothing to replay into, so the
@@ -552,9 +569,17 @@ class ChurnCohortEngine:
         counts_epoch = state.begin_epoch(step)
         stale = np.asarray(state.stale_generations(), dtype=bool)
         chain_fps = state.site_chain_fingerprints()
-        # Every site serves a single-ICA chain (the world's invariant);
-        # the flat per-site fingerprint list is the epoch's unique chain
-        # set each generation resolves with one bulk probe.
+        # Every site serves a single-ICA chain: the flat per-site
+        # fingerprint list is the epoch's unique chain set each generation
+        # resolves with one bulk probe, and one hit per site is the whole
+        # suppression decision the trace memo keys on.
+        for site_index, fps in enumerate(chain_fps):
+            if len(fps) != 1:
+                raise SimulationError(
+                    f"step {step}: site {state.world.sites[site_index].hostname}"
+                    f" serves {len(fps)} intermediates; the churn engine needs"
+                    " exactly one"
+                )
         site_fps = [fps[0] for fps in chain_fps]
         traces = self._traces.setdefault(
             (self._world_key, step, _fingerprint_digest(state.cache.fingerprints())),
@@ -584,18 +609,19 @@ class ChurnCohortEngine:
             g, site_index = divmod(int(context), num_sites)
             count = int(counts[context])
             client, slot = divmod(int(first_cell), slots)
+            hit = gen_hits[g][site_index]
             c, r, fb, fail, sup, wire = self._context_stats(
-                traces, step, client, slot, site_index, state.captures[g][0]
+                traces, step, client, slot, site_index, state.captures[g][0], hit
             )
             # The server suppresses exactly what the advertised filter
             # matches, so the first attempt must agree with the bulk probe.
-            if sup != int(gen_hits[g][site_index]):
+            if sup != int(hit):
                 raise SimulationError(
                     f"step {step}, generation {g}, site {site_index}: the "
                     f"representative suppressed {sup} ICA(s) but the bulk "
-                    f"probe says {gen_hits[g][site_index]}"
+                    f"probe says {hit}"
                 )
-            encountered += count * len(chain_fps[site_index])
+            encountered += count
             completed += count * c
             fp_retries += count * r
             fallbacks += count * fb

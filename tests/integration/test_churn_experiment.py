@@ -112,6 +112,40 @@ class TestTraceMemo:
         run_churn_experiment(config, jobs=1)
         assert 0 < len(calls) < alone
 
+    def test_one_handshake_per_site_length_and_hit(self, monkeypatch):
+        """The memo keys a context on what the trace reads from the
+        payload — its length and the chain's probe hit — so one trial
+        never runs two handshakes for one (step, cache, site, length,
+        hit), and runs fewer than it has distinct advertised payloads."""
+        real_stats = churn_columnar.ChurnCohortEngine._context_stats
+        real_handshake = churn_columnar.run_handshake
+        current, payload_contexts, handshake_keys = [], set(), []
+
+        def recording_stats(
+            engine, traces, step, client, slot, site_index, payload, hit
+        ):
+            digest = churn_columnar._fingerprint_digest(
+                engine.state.cache.fingerprints()
+            )
+            payload_contexts.add((step, site_index, payload))
+            current[:] = [(step, digest, site_index, len(payload), hit)]
+            return real_stats(
+                engine, traces, step, client, slot, site_index, payload, hit
+            )
+
+        def recording_handshake(client_config, server_config):
+            handshake_keys.append(current[0])
+            return real_handshake(client_config, server_config)
+
+        monkeypatch.setattr(
+            churn_columnar.ChurnCohortEngine, "_context_stats", recording_stats
+        )
+        monkeypatch.setattr(churn_columnar, "run_handshake", recording_handshake)
+        run_churn_experiment(dataclasses.replace(_SMALL, trials=1), jobs=1)
+        assert handshake_keys
+        assert len(set(handshake_keys)) == len(handshake_keys)
+        assert len(handshake_keys) < len(payload_contexts)
+
     def test_next_trial_starts_an_empty_memo(self):
         memo = _TrialTraces()
         first = memo.of(0)

@@ -17,10 +17,12 @@ Hypothesis drives that over cohort size × epochs × filter family × fpp ×
 the interesting paths — stale generations paying real FP retries, high
 fpp probe false positives — so the property suite cannot pass vacuously
 on all-clean draws.  The premise tests pin why broadcast is exact: the
-anchors hold flagged contexts that several cells share, and the per-cell
-client/server seeds of such a context never change its trace stats.
+anchors hold flagged contexts that several cells share, the per-cell
+client/server seeds of such a context never change its trace stats, and
+payloads of one length and one chain hit share a trace (the memo key).
 """
 
+import dataclasses
 import functools
 from collections import Counter
 
@@ -303,6 +305,84 @@ def test_cell_seeds_never_change_a_flagged_contexts_trace_stats(data, cells):
     b = state.run_representative(step, client_b, slot_b, site, payload)
     assert a.outcome is not HandshakeOutcome.COMPLETED
     assert _trace_stats(a) == _trace_stats(b)
+
+
+def _payload_pair_stats(filter_kind):
+    """Drive a stale anchor's cohort state epoch by epoch and pair up its
+    distinct generation payloads per site; yields ``(same_len, same_hit,
+    stats_a, stats_b, flagged)`` for every pair, where ``same_hit`` says
+    the two payloads agree on the bulk-probe hit for the site and
+    ``flagged`` that the first one's handshake was not clean."""
+    state = ChurnCohortState(_stale_anchor(filter_kind))
+    for step in range(state.config.world.steps):
+        state.begin_epoch(step)
+        site_fps = [fps[0] for fps in state.site_chain_fingerprints()]
+        payloads = sorted({payload for payload, _ in state.captures})
+        traces, succeeded = {}, set()
+        for payload in payloads:
+            hits = probe_image(payload, site_fps)
+            for site in range(len(site_fps)):
+                trace = state.run_representative(step, 0, 0, site, payload)
+                traces[payload, site] = (trace, hits[site])
+                if trace.succeeded:
+                    succeeded.add(site)
+        for i, a in enumerate(payloads):
+            for b in payloads[i + 1:]:
+                for site in range(len(site_fps)):
+                    trace_a, hit_a = traces[a, site]
+                    trace_b, hit_b = traces[b, site]
+                    yield (
+                        len(a) == len(b),
+                        hit_a == hit_b,
+                        _trace_stats(trace_a),
+                        _trace_stats(trace_b),
+                        trace_a.outcome is not HandshakeOutcome.COMPLETED,
+                    )
+        state.finish_epoch(succeeded)
+
+
+def test_payloads_of_one_length_and_hit_share_a_trace():
+    """Trace-memo premise: within an epoch a site's handshake reads the
+    advertised payload only through its length (ClientHello bytes) and
+    the server's membership hit on the served ICA.  Two different payload
+    images that agree on both give equal trace stats — flagged contexts
+    included — while a length change moves the wire bytes, which is why
+    the length is in the key."""
+    shared, flagged, length_pairs = Counter(), 0, 0
+    for family in _ANCHOR_FAMILIES:
+        for same_len, same_hit, a, b, is_flagged in _payload_pair_stats(family):
+            if same_len and same_hit:
+                assert a == b
+                shared[family] += 1
+                flagged += is_flagged
+            elif not same_len:
+                assert a[5] != b[5]
+                length_pairs += 1
+    assert all(shared[family] > 0 for family in _ANCHOR_FAMILIES), shared
+    assert flagged > 0
+    assert length_pairs > 0
+
+
+def test_multi_intermediate_chain_is_a_typed_error(monkeypatch):
+    """One ICA per served chain is what the bulk probe and the trace
+    memo key read; a site serving two must raise, not be keyed on its
+    first intermediate."""
+    engine = churn_columnar.ChurnCohortEngine(_config(num_clients=4, steps=2))
+    site = engine.state.world.sites[0]
+    chain = site.credential.chain
+    other = engine.state.world.sites[1].credential.chain.intermediates[0]
+    monkeypatch.setattr(
+        site,
+        "credential",
+        dataclasses.replace(
+            site.credential,
+            chain=dataclasses.replace(
+                chain, intermediates=chain.intermediates + (other,)
+            ),
+        ),
+    )
+    with pytest.raises(SimulationError, match=f"{site.hostname} serves 2"):
+        engine.run_epoch(0)
 
 
 def test_probe_disagreeing_with_the_representative_is_a_typed_error(monkeypatch):
