@@ -20,7 +20,10 @@ wire format (:mod:`repro.amq.serialization`):
 patch chain v0 → vN yields a filter whose wire image is byte-identical
 to a fresh build at vN (:func:`build_filter_at`).  It holds by
 construction: publisher snapshots, applier rebuilds and the equivalence
-suite's fresh build call the same pure build function.  Nothing rests on
+suite's fresh build call the same pure build function,
+:func:`~repro.amq.serialization.build_image`, whose content-keyed memo
+also lets a publisher image and an applier rebuild of one version share
+one build.  Nothing rests on
 a table being history-independent, so cuckoo and vacuum tables (whose
 bucket choices and kick chains remember insertion order) get the same
 guarantee as counting-Bloom and quotient filters.
@@ -72,13 +75,15 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
 from repro.amq.base import AMQFilter, FilterParams
 from repro.amq.hashing import MASK64, splitmix64
 from repro.amq.serialization import (
     FILTER_REGISTRY,
+    build_filter,
+    build_image,
     canonical_params,
     dequantize_fpp,
     dequantize_load_factor,
@@ -105,11 +110,6 @@ _DELTA_HEADER = struct.Struct(">2sBBQ4s")
 _PATCH_HEADER = struct.Struct(">QIHBIBHH")
 
 _MAX_VERSION = (1 << 64) - 1
-
-#: A pluggable build function ``(filter_kind, params, items) -> filter``;
-#: the cohort engines pass a memoized one (FilterPlan.build) so repeated
-#: versions rehydrate cached images instead of rebuilding.
-FilterBuilder = Callable[[str, FilterParams, List[bytes]], AMQFilter]
 
 
 def delta_seed(base_seed: int, version: int) -> int:
@@ -151,18 +151,13 @@ def build_filter_at(
     base_seed: int,
     version: int,
     items: Sequence[bytes],
-    builder: Optional[FilterBuilder] = None,
 ) -> AMQFilter:
     """The canonical filter of ``version``: one pure function shared by
     publisher snapshots, applier rebuilds and the equivalence suite's
     "fresh build at vN" — which is what makes byte-identity achievable
     rather than aspirational."""
     params = params_at(capacity, fpp, load_factor, base_seed, version)
-    items = [bytes(item) for item in items]
-    if builder is not None:
-        return builder(filter_kind, params, items)
-    cls = filter_class_for_name(filter_kind)
-    return cls.build_from_fingerprints(params, items)
+    return build_filter(filter_kind, params, items)
 
 
 # -- messages ----------------------------------------------------------------
@@ -481,7 +476,6 @@ class DeltaPublisher:
         load_factor: float = 0.9,
         seed: int = 0,
         headroom: float = 2.0,
-        builder: Optional[FilterBuilder] = None,
     ) -> None:
         if headroom < 1.0:
             raise ConfigurationError(
@@ -491,7 +485,6 @@ class DeltaPublisher:
         filter_class_for_name(filter_kind)
         self.filter_kind = filter_kind
         self.headroom = headroom
-        self._builder = builder
         base = canonical_params(
             FilterParams(
                 capacity=1, fpp=fpp, load_factor=load_factor, seed=seed
@@ -505,7 +498,6 @@ class DeltaPublisher:
         self._history: List[Tuple[Tuple[bytes, ...], int]] = [
             (items, self._planned_capacity(len(items)))
         ]
-        self._images: Dict[int, bytes] = {}
 
     def _planned_capacity(self, count: int) -> int:
         return max(1, round(count * self.headroom))
@@ -538,23 +530,14 @@ class DeltaPublisher:
         return self.version
 
     def image_at(self, version: int) -> bytes:
-        """Canonical wire image of a version (memoized per publisher)."""
-        cached = self._images.get(version)
-        if cached is None:
-            items, capacity = self._history[version]
-            filt = build_filter_at(
-                self.filter_kind,
-                capacity,
-                self.fpp,
-                self.load_factor,
-                self.seed,
-                version,
-                list(items),
-                builder=self._builder,
-            )
-            cached = serialize_filter(filt)
-            self._images[version] = cached
-        return cached
+        """Canonical wire image of a version, from the shared memoized
+        build (:func:`~repro.amq.serialization.build_image`)."""
+        items, capacity = self._history[version]
+        return build_image(
+            self.filter_kind,
+            params_at(capacity, self.fpp, self.load_factor, self.seed, version),
+            items,
+        )
 
     def snapshot_message(self, version: Optional[int] = None) -> bytes:
         """Framed full snapshot of ``version`` (default: head)."""
@@ -642,11 +625,9 @@ class DeltaApplier:
         fpp: float = 1e-3,
         load_factor: float = 0.9,
         seed: int = 0,
-        builder: Optional[FilterBuilder] = None,
     ) -> None:
         filter_class_for_name(filter_kind)
         self.filter_kind = filter_kind
-        self._builder = builder
         base = canonical_params(
             FilterParams(capacity=1, fpp=fpp, load_factor=load_factor, seed=seed)
         )
@@ -672,7 +653,6 @@ class DeltaApplier:
             self.seed,
             version,
             items,
-            builder=self._builder,
         )
 
     @property

@@ -115,11 +115,6 @@ def _fnv1a64_multi_np(
     return h
 
 
-def _fnv1a64_np(items: Sequence[bytes], seed: int, length: int) -> "np.ndarray":
-    """Vectorized FNV-1a over same-length items (uint64, wrapping)."""
-    return _fnv1a64_multi_np(items, (seed,), length)[0]
-
-
 def splitmix64_np(x: "np.ndarray") -> "np.ndarray":
     """Vectorized :func:`splitmix64` over a uint64 array."""
     u64 = np.uint64
@@ -191,15 +186,6 @@ def double_hashes_np(items: Sequence[bytes], count: int, seed: int = 0):
     h1, h2 = hash64_multi_np(items, (seed, seed + 0x51ED))
     h2 = h2 | u64(1)
     return [h1 + u64(i) * h2 + u64(i * i) for i in range(count)]
-
-
-def fingerprint_np(items: Sequence[bytes], bits: int, seed: int = 0) -> "np.ndarray":
-    """Vectorized :func:`fingerprint` (zero remapped to 1, as scalar)."""
-    if not 1 <= bits <= 32:
-        raise ValueError(f"fingerprint width must be in [1, 32], got {bits}")
-    fp = hash64_np(items, seed ^ 0xF1A9) & np.uint64((1 << bits) - 1)
-    fp[fp == 0] = 1
-    return fp
 
 
 def fingerprint(data: bytes, bits: int, seed: int = 0) -> int:

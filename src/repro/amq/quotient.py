@@ -53,7 +53,6 @@ class QuotientFilter(AMQFilter):
     def __init__(self, params: FilterParams) -> None:
         super().__init__(params)
         self._slots = quotient_geometry(params.capacity, params.load_factor)
-        self._q_bits = self._slots.bit_length() - 1
         self._r_bits = remainder_bits_for_fpp(params.fpp)
         self._occ = np.zeros(self._slots, dtype=bool)
         self._cont = np.zeros(self._slots, dtype=bool)
@@ -61,10 +60,6 @@ class QuotientFilter(AMQFilter):
         self._rem = np.zeros(self._slots, dtype=np.uint64)
 
     # -- geometry ---------------------------------------------------------------
-
-    @property
-    def quotient_bits(self) -> int:
-        return self._q_bits
 
     @property
     def remainder_bits(self) -> int:
@@ -450,14 +445,6 @@ class QuotientFilter(AMQFilter):
             self._rem[pos] = 0
 
     # -- serialization -------------------------------------------------------------
-
-    @staticmethod
-    def _pack_bits(flags) -> bytes:
-        return bitpack.pack_flags(flags)
-
-    @staticmethod
-    def _unpack_bits(data: bytes, count: int):
-        return bitpack.unpack_flags(data, count)
 
     def to_bytes(self) -> bytes:
         out = bytearray()

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import struct
-from typing import Dict, Type
+from typing import Dict, Iterable, Type
 
 from repro.amq.base import AMQFilter, FilterParams
 from repro.amq.bloom import BloomFilter, CountingBloomFilter
@@ -37,6 +37,7 @@ from repro.amq.quotient import QuotientFilter
 from repro.amq.vacuum import VacuumFilter
 from repro.amq.xor import XorFilter
 from repro.errors import ConfigurationError, FilterSerializationError
+from repro.runtime import artifacts
 
 _MAGIC = b"\xa3\x01"
 _HEADER = struct.Struct(">2sBIHBIH")
@@ -198,6 +199,57 @@ def deserialize_filter(data: bytes) -> AMQFilter:
             f"for capacity={params.capacity})"
         )
     return cls.from_bytes(params, payload)
+
+
+def build_image(
+    filter_kind: str, params: FilterParams, items: Iterable[bytes]
+) -> bytes:
+    """Wire image of a ``filter_kind`` filter over ``items`` — the one
+    memoized AMQ build.
+
+    Builds are keyed by the kind, the canonical params and a digest of
+    the ordered item sequence in :data:`artifacts.FILTER_BUILDS`, and
+    every call replays the build's obs snapshot, so ``amq.*`` counters
+    do not depend on which caller warmed the cache.  A hit is one lookup
+    that returns the stored bytes.
+    """
+    params = canonical_params(params)
+    items = [bytes(item) for item in items]
+    key = (
+        filter_kind,
+        params.capacity,
+        params.fpp,
+        params.load_factor,
+        params.seed,
+        artifacts.items_digest(items),
+    )
+    cls = filter_class_for_name(filter_kind)
+    return artifacts.memoized(
+        artifacts.FILTER_BUILDS,
+        key,
+        lambda: serialize_filter(cls.build_from_fingerprints(params, items)),
+    )
+
+
+def build_filter(
+    filter_kind: str, params: FilterParams, items: Iterable[bytes]
+) -> AMQFilter:
+    """A fresh, independently mutable filter over ``items``, rehydrated
+    from :func:`build_image`.
+
+    The cold path rehydrates too: a freshly built cuckoo filter has
+    consumed eviction-rng draws that a rehydrated copy has not, so
+    returning the original would make the first build of a key behave
+    differently from every later one.
+    """
+    items = [bytes(item) for item in items]
+    filt = deserialize_filter(build_image(filter_kind, params, items))
+    # Static backends buffer items and reconstruct on mutation; the wire
+    # image cannot carry the buffer, so reattach it — without this, a
+    # rehydrated xor filter's first mirrored insert would rebuild from an
+    # empty buffer and drop the preloaded set.
+    filt.attach_source_items(items)
+    return filt
 
 
 def serialized_overhead_bytes() -> int:

@@ -162,7 +162,7 @@ def _run_mixed_chains(args) -> None:
         mixed_chain_comparison,
     )
 
-    print(format_mixed_chains(mixed_chain_comparison(jobs=args.jobs)))
+    print(format_mixed_chains(mixed_chain_comparison()))
 
 
 def _run_nonweb(args) -> None:
@@ -209,7 +209,6 @@ def _run_churn(args) -> None:
     from repro.experiments.churn import (
         ChurnConfig,
         ChurnExperimentConfig,
-        churn_cache_stats,
         churn_json_doc,
         format_churn,
         run_churn_experiment,
@@ -224,20 +223,10 @@ def _run_churn(args) -> None:
     )
     results = run_churn_experiment(config, jobs=args.jobs)
     print(format_churn(results))
-    cache_stats = churn_cache_stats() if args.cache_stats else None
-    if cache_stats is not None:
-        for name, snap in sorted(cache_stats.items()):
-            lookups = snap["hits"] + snap["misses"]
-            rate = snap["hits"] / lookups if lookups else 0.0
-            print(
-                f"[churn cache {name}: {snap['hits']}/{lookups} hits "
-                f"({100.0 * rate:.1f}%), {snap.get('size', 0)} entries]",
-                file=sys.stderr,
-            )
     if args.json_out:
         import json
 
-        doc = churn_json_doc(config, results, cache_stats=cache_stats)
+        doc = churn_json_doc(config, results)
         with open(args.json_out, "w") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -313,8 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=0,
         help=(
             "worker processes for the sharded artifacts (fig5 --cohort, "
-            "churn, mixed-chains; 0 = all cores, 1 = serial; results are "
-            "identical either way)"
+            "churn; 0 = all cores, 1 = serial; results are identical "
+            "either way)"
         ),
     )
     parser.add_argument(
@@ -374,14 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
             "re-ships the framed image every refresh, 'delta' ships "
             "versioned repro.delta/v1 patches (CRLite-style updates); "
             "cumulative bytes land in the doc's distribution_bytes"
-        ),
-    )
-    parser.add_argument(
-        "--cache-stats", action="store_true",
-        help=(
-            "churn: report artifact-cache hit rates (stderr + JSON doc; "
-            "per-process numbers, so the doc is no longer comparable "
-            "across engines or --jobs values)"
         ),
     )
     parser.add_argument(

@@ -29,7 +29,7 @@ from repro.pki.store import IntermediatePreload
 class ICACache:
     """Known-intermediate store with change notification.
 
-    ``on_add``/``on_remove`` callbacks let the
+    ``on_add_batch``/``on_remove_batch`` callbacks let the
     :class:`~repro.core.manager.FilterManager` mirror every mutation into
     the live AMQ filter, which is what makes the paper's "dynamic updates"
     requirement (§4.2) concrete.
@@ -40,17 +40,13 @@ class ICACache:
         #: subject -> {fingerprint -> cert} in insertion order; one subject
         #: can hold several cross-signed variants.
         self._by_subject: Dict[str, Dict[bytes, Certificate]] = {}
-        self._add_listeners: List[Callable[[Certificate], None]] = []
-        self._batch_add_listeners: List[Callable[[List[Certificate]], None]] = []
-        self._remove_listeners: List[Callable[[Certificate], None]] = []
-        self._batch_remove_listeners: List[Callable[[List[Certificate]], None]] = []
+        self._add_listeners: List[Callable[[List[Certificate]], None]] = []
+        self._remove_listeners: List[Callable[[List[Certificate]], None]] = []
 
     # -- listeners -----------------------------------------------------------
 
     def subscribe(
         self,
-        on_add: Optional[Callable[[Certificate], None]] = None,
-        on_remove: Optional[Callable[[Certificate], None]] = None,
         on_add_batch: Optional[Callable[[List[Certificate]], None]] = None,
         on_remove_batch: Optional[Callable[[List[Certificate]], None]] = None,
     ) -> None:
@@ -63,32 +59,20 @@ class ICACache:
         single :meth:`add` delivers a one-element list. ``on_remove_batch``
         mirrors that contract for removals: :meth:`remove_many` (and the
         expiry/revocation sweeps built on it) deliver one list per sweep,
-        a single :meth:`remove` a one-element list. A subscriber should
-        register either the scalar or the batch form of each direction,
-        not both (it would be notified twice).
+        a single :meth:`remove` a one-element list.
         """
-        if on_add is not None:
-            self._add_listeners.append(on_add)
         if on_add_batch is not None:
-            self._batch_add_listeners.append(on_add_batch)
-        if on_remove is not None:
-            self._remove_listeners.append(on_remove)
+            self._add_listeners.append(on_add_batch)
         if on_remove_batch is not None:
-            self._batch_remove_listeners.append(on_remove_batch)
+            self._remove_listeners.append(on_remove_batch)
 
     def _notify_added(self, certs: List[Certificate]) -> None:
         for listener in self._add_listeners:
-            for cert in certs:
-                listener(cert)
-        for batch_listener in self._batch_add_listeners:
-            batch_listener(certs)
+            listener(certs)
 
     def _notify_removed(self, certs: List[Certificate]) -> None:
         for listener in self._remove_listeners:
-            for cert in certs:
-                listener(cert)
-        for batch_listener in self._batch_remove_listeners:
-            batch_listener(certs)
+            listener(certs)
 
     # -- mutation ------------------------------------------------------------
 

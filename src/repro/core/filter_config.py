@@ -11,9 +11,8 @@ structure, refusing plans that cannot fit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Type
+from typing import Iterable, Optional
 
-from repro import obs
 from repro.amq import (
     AMQFilter,
     FilterParams,
@@ -21,15 +20,9 @@ from repro.amq import (
     max_capacity_within,
     size_bytes_for,
 )
-from repro.amq.serialization import (
-    deserialize_filter,
-    filter_class_for_name,
-    serialize_filter,
-    serialized_overhead_bytes,
-)
+from repro.amq.serialization import build_filter, serialized_overhead_bytes
 from repro.errors import ConfigurationError
 from repro.pki.algorithms import get_kem_algorithm
-from repro.runtime import artifacts
 
 #: The paper's §5.2 figure for space left in a PQ ClientHello.
 DEFAULT_FILTER_BUDGET_BYTES = 550
@@ -89,75 +82,13 @@ class FilterPlan:
     def build(self, items: Iterable[bytes] = ()) -> AMQFilter:
         """Instantiate the filter and insert ``items``.
 
-        Builds are memoized by (kind, capacity, fpp, load factor, seed)
-        plus a digest of the item sequence: every simulator construction
-        over the same hot-ICA set rehydrates one serialized image instead
-        of re-inserting item by item. Each call still returns a fresh,
-        independently mutable filter.
+        Builds go through the memoized
+        :func:`~repro.amq.serialization.build_image`: every simulator
+        construction over the same hot-ICA set rehydrates one serialized
+        image instead of re-inserting item by item. Each call still
+        returns a fresh, independently mutable filter.
         """
-        import hashlib
-
-        items = [bytes(item) for item in items]
-        digest = hashlib.sha256()
-        for item in items:
-            digest.update(len(item).to_bytes(4, "big"))
-            digest.update(item)
-        key = (
-            self.filter_kind,
-            self.params.capacity,
-            self.params.fpp,
-            self.params.load_factor,
-            self.params.seed,
-            digest.digest(),
-        )
-        cached = artifacts.FILTER_BUILDS.get(key)
-        if cached is None:
-            cls = filter_class_for_name(self.filter_kind)
-            # Capture the build's metric deltas so cache hits can replay
-            # them: amq.* counters stay a pure function of build() calls,
-            # not of which process happened to populate this cache first.
-            with obs.scoped() as scope:
-                filt = cls.build_from_fingerprints(self.params, items)
-            cached = (serialize_filter(filt), scope.snapshot())
-            artifacts.FILTER_BUILDS.put(key, cached)
-        image, build_metrics = cached
-        obs.merge(build_metrics)
-        # Rehydrate on the cold path too: a freshly built cuckoo filter has
-        # consumed eviction-rng draws that a rehydrated copy has not, so
-        # returning the original would make the first build of a given key
-        # behave differently from every later one.
-        filt = deserialize_filter(image)
-        # Static backends buffer items and reconstruct on mutation; the
-        # wire image cannot carry the buffer, so reattach it — without
-        # this, a rehydrated xor filter's first mirrored insert would
-        # rebuild from an empty buffer and drop the preloaded set.
-        filt.attach_source_items(items)
-        return filt
-
-
-def memoized_build(
-    filter_kind: str, params: FilterParams, items: Iterable[bytes]
-) -> AMQFilter:
-    """Build a filter through the ``FILTER_BUILDS`` artifact cache.
-
-    The :class:`~repro.amq.delta.FilterBuilder` hook for delta
-    publishers/appliers: versioned builds route through the same
-    content-keyed memoization (and obs-snapshot replay) as
-    :meth:`FilterPlan.build`, so the churn engines rehydrate each
-    version's image once per process instead of rebuilding per client
-    generation — and because the cache round-trips through the wire
-    format, a memoized build stays byte-identical to a cold one.
-    """
-    predicted = size_bytes_for(
-        filter_kind, params.capacity, params.fpp, params.load_factor
-    )
-    plan = FilterPlan(
-        filter_kind=filter_kind,
-        params=params,
-        budget_bytes=predicted,
-        predicted_payload_bytes=predicted,
-    )
-    return plan.build(items)
+        return build_filter(self.filter_kind, self.params, items)
 
 
 def plan_filter(

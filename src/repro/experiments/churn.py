@@ -36,13 +36,14 @@ machine again — and results come back in (level, trial) order for any
 ``jobs``.
 
 Wire images and probe plans live in content-keyed artifact caches
-(:data:`repro.runtime.artifacts.CHURN_IMAGES` /
+(:data:`repro.runtime.artifacts.FILTER_BUILDS` /
 :data:`~repro.runtime.artifacts.CHURN_PROBES`), so repeated trials and
 staleness levels sharing a trajectory prefix rehydrate each other's
 builds instead of rebuilding identical filters from scratch; forked
-workers inherit whatever the parent already built. Hit rates are
-reported out of band (``cache_stats`` is opt-in) because they are a
-per-process execution detail, not part of the deterministic document.
+workers inherit whatever the parent already built. Hit rates are a
+per-process execution detail, not part of the deterministic document:
+``--metrics-out`` exports them, merged across workers, as
+``runtime.artifacts.{hits,misses}{cache=...}`` counters.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.errors import ConfigurationError
-from repro.runtime import artifacts
 from repro.runtime.parallel import derive_seed, parallel_map, resolve_jobs
 from repro.webmodel.churn import ChurnConfig
 from repro.webmodel.churn_columnar import (
@@ -65,9 +65,6 @@ from repro.webmodel.churn_reference import run_churn_cohort_reference
 
 #: The engines that can resolve a sweep cell.
 CHURN_ENGINES = ("columnar", "scalar")
-
-#: The artifact caches whose hit rates the churn doc can report.
-_CACHE_NAMES = ("churn_images", "churn_probes", "filter_builds")
 
 
 @dataclass(frozen=True)
@@ -261,19 +258,8 @@ def format_churn(results: List[ChurnCellResult]) -> str:
     return "\n".join(lines)
 
 
-def churn_cache_stats() -> Dict[str, Dict[str, int]]:
-    """Hit/miss/size of the artifact caches the churn engines lean on —
-    per-process execution detail, reported only when explicitly asked
-    (``--cache-stats``) so the default document stays byte-identical
-    across engines and ``--jobs`` values."""
-    stats = artifacts.stats()
-    return {name: stats[name] for name in _CACHE_NAMES if name in stats}
-
-
 def churn_json_doc(
-    config: ChurnExperimentConfig,
-    results: List[ChurnCellResult],
-    cache_stats: Optional[Dict[str, Dict[str, int]]] = None,
+    config: ChurnExperimentConfig, results: List[ChurnCellResult]
 ) -> dict:
     """The machine-readable sweep: per-cell summaries plus per-level
     staleness-vs-FP-retry curves (step-indexed, averaged over trials)."""
@@ -294,7 +280,7 @@ def churn_json_doc(
             "per_step_fp_retry_rate": per_step,
             "distribution_bytes": sum(c.distribution_bytes for c in cells),
         }
-    doc = {
+    return {
         "schema": "repro.churn/v1",
         "staleness_levels": list(config.staleness_levels),
         "trials": config.trials,
@@ -325,6 +311,3 @@ def churn_json_doc(
         ],
         "curves": curves,
     }
-    if cache_stats is not None:
-        doc["cache_stats"] = cache_stats
-    return doc

@@ -21,7 +21,6 @@ from repro.pki.authority import CertificateAuthority, ServerCredential
 from repro.pki.chain import CertificateChain
 from repro.pki.keys import KeyPair
 from repro.pki.algorithms import get_signature_algorithm
-from repro.runtime.parallel import parallel_map, resolve_jobs
 
 
 @dataclass(frozen=True)
@@ -56,10 +55,10 @@ def _build_chain(
     )
 
 
-def _comparison_row(spec: Tuple[str, str, str, int]) -> MixedChainRow:
-    """Build one configuration's chain and measure it (module-level so
-    the parallel path can pickle it into worker processes)."""
-    label, ca_alg, leaf_alg, num_icas = spec
+def _comparison_row(
+    label: str, ca_alg: str, leaf_alg: str, num_icas: int
+) -> MixedChainRow:
+    """Build one configuration's chain and measure it."""
     credential = _build_chain(ca_alg, leaf_alg, num_icas, seed=0xA11)
     chain = credential.chain
     return MixedChainRow(
@@ -75,24 +74,19 @@ def _comparison_row(spec: Tuple[str, str, str, int]) -> MixedChainRow:
 def mixed_chain_comparison(
     num_icas: int = 2,
     configurations: Optional[Sequence[Tuple[str, str, str]]] = None,
-    jobs: Optional[int] = 1,
 ) -> List[MixedChainRow]:
     """(label, CA algorithm, leaf algorithm) rows; defaults cover the
-    pure chains of Table 1 plus the canonical Falcon/Dilithium mix.
-    ``jobs`` builds configurations in parallel processes (each one issues
-    a full chain, which is signature-heavy; ``None``/``0`` = all cores).
-    """
+    pure chains of Table 1 plus the canonical Falcon/Dilithium mix."""
     configurations = configurations or (
         ("pure dilithium2", "dilithium2", "dilithium2"),
         ("pure falcon-512", "falcon-512", "falcon-512"),
         ("mixed falcon CAs + dilithium2 leaf", "falcon-512", "dilithium2"),
         ("mixed falcon CAs + dilithium3 leaf", "falcon-512", "dilithium3"),
     )
-    specs = [
-        (label, ca_alg, leaf_alg, num_icas)
+    return [
+        _comparison_row(label, ca_alg, leaf_alg, num_icas)
         for label, ca_alg, leaf_alg in configurations
     ]
-    return parallel_map(_comparison_row, specs, jobs=resolve_jobs(jobs))
 
 
 def format_mixed_chains(rows: Sequence[MixedChainRow]) -> str:

@@ -33,9 +33,6 @@ class EventLoop:
         heapq.heappush(self._queue, (self.clock.now + delay, self._seq, callback))
         self._seq += 1
 
-    def schedule_at(self, when: float, callback: Callback) -> None:
-        self.schedule(when - self.clock.now, callback)
-
     def step(self) -> bool:
         """Run the earliest event; False when the queue is empty."""
         if not self._queue:

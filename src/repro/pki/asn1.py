@@ -122,10 +122,6 @@ def encode_utf8_string(value: str) -> bytes:
     return encode_tlv(TAG_UTF8_STRING, value.encode("utf-8"))
 
 
-def encode_printable_string(value: str) -> bytes:
-    return encode_tlv(TAG_PRINTABLE_STRING, value.encode("ascii"))
-
-
 def _encode_arc(arc: int) -> bytes:
     chunk = [arc & 0x7F]
     arc >>= 7

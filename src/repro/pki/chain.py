@@ -68,9 +68,6 @@ class CertificateChain:
     def ica_fingerprints(self) -> List[bytes]:
         return [c.fingerprint() for c in self.intermediates]
 
-    def all_certificates(self) -> List[Certificate]:
-        return [self.leaf, *self.intermediates, self.root]
-
     def content_digest(self) -> bytes:
         """SHA-256 over every certificate fingerprint in path order —
         equal digests mean byte-identical chains."""

@@ -7,7 +7,9 @@ although neither the certificates nor the trust anchors changed, leaf
 credentials are re-issued for the same domain, and every simulator
 construction rebuilds an identical AMQ filter from the same hot-ICA set. All of those
 are pure functions of their inputs, so this module gives each one a
-bounded, content-keyed cache with hit/miss counters.
+bounded, content-keyed cache with hit/miss counters.  It imports nothing
+from the package but :mod:`repro.obs`, so every layer (``amq``, ``pki``,
+``core``, the engines) may use it.
 
 Design rules:
 
@@ -22,12 +24,19 @@ Design rules:
   happened, so tests can assert a warm run performs zero redundant work.
 * **Always on.** There is no pass-through mode; pool workers are forked,
   so they start with every entry the parent already holds.
+* **Metrics replay.** Work memoized through :func:`memoized` stores the
+  obs-counter deltas it recorded and replays them on every hit, so
+  ``amq.*`` counters stay a pure function of the calls made, not of
+  which process or cell happened to warm the cache first.
 """
 
 from __future__ import annotations
 
+import hashlib
 from collections import OrderedDict
-from typing import Any, Dict, Hashable, Optional
+from typing import Any, Callable, Dict, Hashable, Iterable, Optional
+
+from repro import obs
 
 
 class EventCounter:
@@ -116,9 +125,11 @@ SIGNATURE_BYTES = _register(ContentCache("signature_bytes", max_entries=65536))
 #: (chain digest, trust-store token) -> validated (not_before, not_after)
 #: window; a hit inside the window skips full path validation.
 VERIFIED_CHAINS = _register(ContentCache("verified_chains", max_entries=16384))
-#: (kind, capacity, fpp, load_factor, seed, items digest) -> serialized
-#: filter image, rehydrated instead of re-inserting every item.
-FILTER_BUILDS = _register(ContentCache("filter_builds", max_entries=64))
+#: (kind, capacity, fpp, load_factor, seed, items digest) -> (serialized
+#: filter image, obs snapshot): every AMQ build in the program, written
+#: only by :func:`repro.amq.serialization.build_image` — plan builds,
+#: delta publisher images and applier rebuilds, churn captures.
+FILTER_BUILDS = _register(ContentCache("filter_builds", max_entries=256))
 #: Length profile of a TBSCertificate -> solved attribute-padding length
 #: (the fixed-point loop in ``build_tbs`` otherwise re-assembles the full
 #: TBS several times per issued certificate).
@@ -134,22 +145,40 @@ CREDENTIALS = _register(ContentCache("credentials", max_entries=8192))
 #: handshake per sample).
 FLIGHT_SIZES = _register(ContentCache("flight_sizes", max_entries=4096))
 
-#: ("image", kind, fpp, load_factor, seed, fingerprints digest) ->
-#: (serialized advertised payload, obs snapshot) for the columnar churn
-#: engine's per-generation wire images; keyed by cache *content* (the
-#: ordered fingerprint list), so identical churn states across trials,
-#: staleness levels and ``--jobs`` workers share one filter build.
-CHURN_IMAGES = _register(ContentCache("churn_images", max_entries=256))
-#: ("probe", payload digest, fingerprints digest) -> (hit tuple, obs
-#: snapshot): the per-(generation, epoch) bulk membership probe of the
-#: columnar churn engine. Values carry the amq.* counter snapshot so a
-#: hit replays the probe's metrics instead of silently skipping them.
+#: (payload digest, fingerprints digest) -> (hit tuple, obs snapshot):
+#: the per-(generation, epoch) bulk membership probe of the columnar
+#: churn engine.
 CHURN_PROBES = _register(ContentCache("churn_probes", max_entries=4096))
 
 #: Actual DER assemblies of Certificate objects (encode events, not cache
 #: lookups): ``misses`` counts real encodes, ``hits`` counts memoized
 #: returns. A warm run must not advance ``misses``.
 DER_ENCODE = _register_event(EventCounter("der_encode"))
+
+
+def items_digest(items: Iterable[bytes]) -> bytes:
+    """SHA-256 of a byte-string sequence, each item length-prefixed, so
+    the digest pins both the items and their order."""
+    digest = hashlib.sha256()
+    for item in items:
+        digest.update(len(item).to_bytes(4, "big"))
+        digest.update(item)
+    return digest.digest()
+
+
+def memoized(cache: ContentCache, key: Hashable, compute: Callable[[], Any]) -> Any:
+    """``compute()`` through ``cache``: a miss runs it in an obs scope and
+    stores the value with the scope's snapshot; every call, hit or miss,
+    merges that snapshot into the active registry."""
+    cached = cache.get(key)
+    if cached is None:
+        with obs.scoped() as scope:
+            value = compute()
+        cached = (value, scope.snapshot())
+        cache.put(key, cached)
+    value, snapshot = cached
+    obs.merge(snapshot)
+    return value
 
 
 def stats() -> Dict[str, Dict[str, int]]:

@@ -311,7 +311,3 @@ class TLSClient:
             own_chain.ica_bytes() - sent_bytes,
             len(suppressed_fps),
         )
-
-    @property
-    def key_schedule(self) -> KeySchedule:
-        return self._schedule

@@ -346,11 +346,3 @@ class TLSServer:
             client_chain=chain,
             suppressed_ica_count=suppressed,
         )
-
-    @property
-    def handshake_complete(self) -> bool:
-        return self._complete
-
-    @property
-    def key_schedule(self) -> KeySchedule:
-        return self._schedule

@@ -68,14 +68,16 @@ stores the handshake's obs-counter deltas and every hit replays them, so
 ``tls.*`` counters do not depend on which cell or worker ran the
 handshake.
 
-Wire images and bulk probes are memoized in content-keyed artifact caches
-(:data:`repro.runtime.artifacts.CHURN_IMAGES` /
-:data:`~repro.runtime.artifacts.CHURN_PROBES`): the key is the cache
-*content* (ordered fingerprints) plus filter parameters, so repeated
-trials, staleness levels sharing a trajectory prefix, and ``--jobs``
-workers all rehydrate one build.  Both caches store the obs-counter
-deltas of the work they skip and replay them on every hit, preserving the
-serial == parallel determinism contract for ``amq.*``/``tls.*`` counters.
+Wire images come from the one memoized AMQ build
+(:func:`repro.amq.serialization.build_image`, cached in
+:data:`repro.runtime.artifacts.FILTER_BUILDS`) and bulk probes are
+memoized in :data:`~repro.runtime.artifacts.CHURN_PROBES`: the key is the
+cache *content* (ordered fingerprints) plus filter parameters, so
+repeated trials, staleness levels sharing a trajectory prefix, and
+``--jobs`` workers all rehydrate one build.  Both caches store the
+obs-counter deltas of the work they skip and replay them on every hit
+(:func:`repro.runtime.artifacts.memoized`), preserving the serial ==
+parallel determinism contract for ``amq.*``/``tls.*`` counters.
 """
 
 from __future__ import annotations
@@ -95,9 +97,10 @@ from repro.amq.delta import (
     delta_overhead_bytes,
     deserialize_delta,
 )
+from repro.amq.serialization import build_image
 from repro.core.cache import ICACache
-from repro.core.extension import build_extension_payload, parse_extension_payload
-from repro.core.filter_config import memoized_build, plan_filter
+from repro.core.extension import parse_extension_payload
+from repro.core.filter_config import plan_filter
 from repro.errors import ConfigurationError, SimulationError
 from repro.runtime import artifacts
 from repro.runtime.parallel import derive_seed
@@ -189,53 +192,27 @@ def epoch_site_column(
     return sites
 
 
-def _fingerprint_digest(fingerprints: Sequence[bytes]) -> bytes:
-    digest = hashlib.sha256()
-    for fp in fingerprints:
-        digest.update(len(fp).to_bytes(4, "big"))
-        digest.update(fp)
-    return digest.digest()
-
-
 def capture_wire_image(
     world_config: ChurnConfig, fingerprints: Sequence[bytes]
 ) -> bytes:
     """Serialize the advertised payload of a cache state (the generation
-    capture), memoized by content in :data:`artifacts.CHURN_IMAGES`.
+    capture): the wire image of the memoized build
+    (:func:`~repro.amq.serialization.build_image`).
 
     Capacity is re-planned per capture as a pure function of the current
     fingerprint count (2x headroom): the canonical cache grows across a
-    long run, and a capacity frozen at step 0 would overflow.  Cache hits replay the
-    build's obs-counter deltas so ``amq.*`` counters stay a pure function
-    of the capture sequence, not of which process built the image first.
+    long run, and a capacity frozen at step 0 would overflow.
     """
-    fingerprints = [bytes(fp) for fp in fingerprints]
-    key = (
-        "image",
-        world_config.filter_kind,
-        world_config.fpp,
-        world_config.load_factor,
-        world_config.seed,
-        _fingerprint_digest(fingerprints),
+    plan = plan_filter(
+        num_icas=max(1, len(fingerprints)),
+        filter_kind=world_config.filter_kind,
+        fpp=world_config.fpp,
+        load_factor=world_config.load_factor,
+        budget_bytes=None,
+        seed=world_config.seed,
+        headroom=2.0,
     )
-    cached = artifacts.CHURN_IMAGES.get(key)
-    if cached is None:
-        with obs.scoped() as scope:
-            plan = plan_filter(
-                num_icas=max(1, len(fingerprints)),
-                filter_kind=world_config.filter_kind,
-                fpp=world_config.fpp,
-                load_factor=world_config.load_factor,
-                budget_bytes=None,
-                seed=world_config.seed,
-                headroom=2.0,
-            )
-            payload = build_extension_payload(plan.build(fingerprints))
-        cached = (payload, scope.snapshot())
-        artifacts.CHURN_IMAGES.put(key, cached)
-    payload, build_metrics = cached
-    obs.merge(build_metrics)
-    return payload
+    return build_image(plan.filter_kind, plan.params, fingerprints)
 
 
 def probe_image(payload: bytes, fingerprints: Sequence[bytes]) -> Tuple[bool, ...]:
@@ -243,21 +220,13 @@ def probe_image(payload: bytes, fingerprints: Sequence[bytes]) -> Tuple[bool, ..
     per-(generation, epoch) membership resolution), memoized by content
     in :data:`artifacts.CHURN_PROBES` with obs-snapshot replay."""
     fingerprints = [bytes(fp) for fp in fingerprints]
-    key = (
-        "probe",
-        hashlib.sha256(payload).digest(),
-        _fingerprint_digest(fingerprints),
-    )
-    cached = artifacts.CHURN_PROBES.get(key)
-    if cached is None:
-        with obs.scoped() as scope:
-            filt = parse_extension_payload(payload)
-            hits = tuple(bool(h) for h in filt.contains_batch(fingerprints))
-        cached = (hits, scope.snapshot())
-        artifacts.CHURN_PROBES.put(key, cached)
-    hits, probe_metrics = cached
-    obs.merge(probe_metrics)
-    return hits
+    key = (hashlib.sha256(payload).digest(), artifacts.items_digest(fingerprints))
+
+    def probe() -> Tuple[bool, ...]:
+        filt = parse_extension_payload(payload)
+        return tuple(bool(h) for h in filt.contains_batch(fingerprints))
+
+    return artifacts.memoized(artifacts.CHURN_PROBES, key, probe)
 
 
 @dataclass(frozen=True)
@@ -311,9 +280,9 @@ class ChurnCohortState:
             # at that generation's refresh cadence.  Version 0 is a local
             # bootstrap (the preload set every client already holds), so
             # it costs no wire bytes — exactly like full mode's initial
-            # capture.  Builds route through the memoized FILTER_BUILDS
-            # cache so repeated versions across generations, trials and
-            # workers rehydrate one image.
+            # capture.  Builds route through the memoized build_image, so
+            # repeated versions across generations, trials and workers
+            # rehydrate one image.
             fingerprints = self.cache.fingerprints()
             self._publisher = DeltaPublisher(
                 cfg.filter_kind,
@@ -322,7 +291,6 @@ class ChurnCohortState:
                 load_factor=cfg.load_factor,
                 seed=cfg.seed,
                 headroom=2.0,
-                builder=memoized_build,
             )
             self._appliers = [
                 DeltaApplier(
@@ -332,7 +300,6 @@ class ChurnCohortState:
                     fpp=cfg.fpp,
                     load_factor=cfg.load_factor,
                     seed=cfg.seed,
-                    builder=memoized_build,
                 )
                 for _ in range(self.generations)
             ]
@@ -582,7 +549,7 @@ class ChurnCohortEngine:
                 )
         site_fps = [fps[0] for fps in chain_fps]
         traces = self._traces.setdefault(
-            (self._world_key, step, _fingerprint_digest(state.cache.fingerprints())),
+            (self._world_key, step, artifacts.items_digest(state.cache.fingerprints())),
             {},
         )
 

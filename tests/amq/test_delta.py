@@ -12,7 +12,7 @@ application guarantees.
 import hashlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
@@ -26,7 +26,6 @@ from repro.amq import (
     delta_seed,
     deserialize_delta,
     deserialize_filter,
-    filter_class_for_name,
     serialize_delta,
     serialize_filter,
 )
@@ -42,6 +41,7 @@ from repro.amq.delta import (
     params_at,
 )
 from repro.errors import ConfigurationError, FilterSerializationError
+from repro.runtime import artifacts
 
 FAMILIES = sorted(cls.name for cls in FILTER_REGISTRY.values())
 
@@ -655,19 +655,28 @@ def _trajectories(draw):
 
 class TestEquivalence:
     """The guarantee the module is named for: patches v0 -> vN land on
-    the byte-identical wire image of a fresh build at vN."""
+    the byte-identical wire image of a fresh build at vN.  The fresh
+    build bypasses the artifact caches, so it is an independent
+    construction rather than a lookup of the image the chain stored."""
 
     @pytest.mark.parametrize("name", FAMILIES)
     @given(trajectory=_trajectories())
-    @settings(max_examples=12, deadline=None)
-    def test_stepwise_chain_matches_fresh_build(self, name, trajectory):
+    @settings(
+        max_examples=12,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_stepwise_chain_matches_fresh_build(
+        self, name, trajectory, bypass_artifact_caches
+    ):
         n0, steps = trajectory
         pub, app = _run_trajectory(name, n0, steps, stepwise=True)
         head = pub.version
-        fresh = build_filter_at(
-            name, pub.capacity_at(head), pub.fpp, pub.load_factor,
-            pub.seed, head, list(pub.items),
-        )
+        with bypass_artifact_caches():
+            fresh = build_filter_at(
+                name, pub.capacity_at(head), pub.fpp, pub.load_factor,
+                pub.seed, head, list(pub.items),
+            )
         assert app.version == head
         assert app.items == pub.items
         assert app.image() == serialize_filter(fresh) == pub.image_at(head)
@@ -684,40 +693,35 @@ class TestEquivalence:
         assert merged.image() == stepwise.image()
 
     @pytest.mark.parametrize("name", FAMILIES)
-    def test_readd_trajectory_pinned(self, name):
+    def test_readd_trajectory_pinned(self, name, bypass_artifact_caches):
         # The remove-then-re-add shape, deterministically, per family.
         steps = [([0], 1), ([], 0), ([1], 2)]
         pub, app = _run_trajectory(name, 4, steps, stepwise=True)
-        fresh = build_filter_at(
-            name, pub.capacity_at(3), pub.fpp, pub.load_factor,
-            pub.seed, 3, list(pub.items),
-        )
+        with bypass_artifact_caches():
+            fresh = build_filter_at(
+                name, pub.capacity_at(3), pub.fpp, pub.load_factor,
+                pub.seed, 3, list(pub.items),
+            )
         assert app.image() == serialize_filter(fresh)
 
 
-class TestBuilderHook:
-    def test_both_sides_route_through_custom_builder(self):
-        # The cohort engines pass a memoizing builder; publisher images
-        # and applier rebuilds must both go through it and still land on
-        # the canonical bytes.
-        calls = []
-
-        def builder(kind, params, items):
-            calls.append((kind, params.capacity, len(items)))
-            return filter_class_for_name(kind).build_from_fingerprints(
-                params, items
-            )
-
-        pub = DeltaPublisher("bloom", _UNIVERSE[:4], seed=7, builder=builder)
+class TestSharedBuild:
+    def test_publisher_image_and_applier_rebuild_share_one_entry(self):
+        # Both sides build a version through build_image, so the
+        # publisher's image of v1 is a hit on the applier's rebuild.
+        cache = artifacts.FILTER_BUILDS
+        cache.clear()
+        cache.reset_stats()
+        pub = DeltaPublisher("bloom", _UNIVERSE[:4], seed=7)
         app = DeltaApplier(
-            "bloom", _UNIVERSE[:4], capacity=pub.capacity_at(0), seed=7,
-            builder=builder,
+            "bloom", _UNIVERSE[:4], capacity=pub.capacity_at(0), seed=7
         )
         pub.publish(_UNIVERSE[:5])
         app.apply(pub.patch_message(0, 1))
-        assert app.image() == pub.image_at(1)
-        # Applier base build, applier patch rebuild, publisher image.
-        assert len(calls) >= 3
+        # Entries: the applier's base build at v0 and its rebuild at v1.
+        assert (len(cache), cache.hits, cache.misses) == (2, 0, 2)
+        assert pub.image_at(1) == app.image()
+        assert (len(cache), cache.hits, cache.misses) == (2, 1, 2)
 
 
 class TestObsCounters:

@@ -120,24 +120,25 @@ class TestQueriesAndListeners:
         _, icas = world
         cache = ICACache()
         added, removed = [], []
-        cache.subscribe(on_add=added.append, on_remove=removed.append)
+        cache.subscribe(on_add_batch=added.append, on_remove_batch=removed.append)
         cache.add(icas[0])
         cache.add(icas[1])
         cache.remove(icas[0])
-        assert [c.fingerprint() for c in added] == [
-            icas[0].fingerprint(),
-            icas[1].fingerprint(),
+        assert [[c.fingerprint() for c in batch] for batch in added] == [
+            [icas[0].fingerprint()],
+            [icas[1].fingerprint()],
         ]
-        assert removed == [icas[0]]
+        assert removed == [[icas[0]]]
 
     def test_listener_not_fired_on_duplicate(self, world):
         _, icas = world
         cache = ICACache()
         added = []
-        cache.subscribe(on_add=added.append)
+        cache.subscribe(on_add_batch=added.append)
         cache.add(icas[0])
         cache.add(icas[0])
-        assert len(added) == 1
+        cache.add_many([icas[0]])
+        assert added == [[icas[0]]]
 
 
 class TestCrossSignedVariants:
@@ -201,13 +202,13 @@ class TestAtomicAddMany:
     def test_invalid_item_leaves_cache_untouched(self, world):
         h, icas = world
         cache = ICACache()
-        added, batches = [], []
-        cache.subscribe(on_add=added.append, on_add_batch=batches.append)
+        batches = []
+        cache.subscribe(on_add_batch=batches.append)
         with pytest.raises(CertificateError):
             cache.add_many([icas[0], h.roots[0].certificate, icas[1]])
         assert len(cache) == 0
         assert icas[0] not in cache
-        assert added == [] and batches == []
+        assert batches == []
 
     def test_valid_batch_still_lands_as_one_batch(self, world):
         _, icas = world
@@ -230,11 +231,10 @@ class TestBatchRemoval:
         _, icas = world
         cache = ICACache()
         cache.add_many(icas[:4])
-        scalar, batches = [], []
-        cache.subscribe(on_remove=scalar.append, on_remove_batch=batches.append)
+        batches = []
+        cache.subscribe(on_remove_batch=batches.append)
         cache.remove_many(icas[:3])
-        assert scalar == list(icas[:3])
-        assert [len(b) for b in batches] == [3]
+        assert batches == [list(icas[:3])]
 
     def test_single_remove_delivers_one_element_batch(self, world):
         _, icas = world

@@ -7,12 +7,12 @@ import pytest
 
 from repro import obs
 from repro.errors import ConfigurationError
+from repro.runtime import artifacts
 from repro.experiments.churn import (
     ChurnCellResult,
     ChurnExperimentConfig,
     _TrialTraces,
     _cell_config,
-    churn_cache_stats,
     churn_json_doc,
     format_churn,
     run_churn_experiment,
@@ -124,9 +124,7 @@ class TestTraceMemo:
         def recording_stats(
             engine, traces, step, client, slot, site_index, payload, hit
         ):
-            digest = churn_columnar._fingerprint_digest(
-                engine.state.cache.fingerprints()
-            )
+            digest = artifacts.items_digest(engine.state.cache.fingerprints())
             payload_contexts.add((step, site_index, payload))
             current[:] = [(step, digest, site_index, len(payload), hit)]
             return real_stats(
@@ -276,18 +274,26 @@ class TestDegenerateSweep:
             assert curve["per_step_fp_retry_rate"] == []
 
 
-class TestCacheStats:
-    def test_doc_excludes_cache_stats_by_default(self, results):
-        assert "cache_stats" not in churn_json_doc(_SMALL, results)
-
-    def test_opt_in_cache_stats_report_churn_caches(self, results):
-        stats = churn_cache_stats()
-        assert set(stats) == {"churn_images", "churn_probes", "filter_builds"}
-        # The sweep shares wire images across trials and levels; a warm
-        # run must have rehydrated at least one build from the cache.
-        assert stats["churn_images"]["hits"] > 0
-        doc = churn_json_doc(_SMALL, results, cache_stats=stats)
-        assert doc["cache_stats"] == stats
+class TestCacheCounters:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_full_sweep_hits_the_build_and_probe_caches(self, jobs):
+        """The levels of a trial capture and probe the same cache states,
+        so a full-distribution sweep from cold caches must hit both; the
+        exported counters carry the pool workers' lookups too."""
+        config = dataclasses.replace(
+            _SMALL, base=dataclasses.replace(_SMALL.base, distribution="full")
+        )
+        artifacts.clear()
+        obs.disable()
+        try:
+            obs.enable()
+            run_churn_experiment(config, jobs=jobs)
+            counters = obs.snapshot()["counters"]
+        finally:
+            obs.disable()
+        for cache in ("filter_builds", "churn_probes"):
+            hits = counters.get(("runtime.artifacts.hits", (("cache", cache),)), 0)
+            assert hits > 0, cache
 
 
 class TestReporting:
