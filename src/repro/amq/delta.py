@@ -639,21 +639,20 @@ class DeltaApplier:
             capacity if capacity is not None else max(1, len(self._items))
         )
         self._version = 0
-        self._filter = self._build(self._capacity, 0, self._items)
-        self._image: Optional[bytes] = None
+        image, self._filter = self._build(self._capacity, 0, self._items)
+        self._image: Optional[bytes] = image
 
     def _build(
         self, capacity: int, version: int, items: Sequence[bytes]
-    ) -> AMQFilter:
-        return build_filter_at(
-            self.filter_kind,
-            capacity,
-            self.fpp,
-            self.load_factor,
-            self.seed,
-            version,
-            items,
-        )
+    ) -> Tuple[bytes, AMQFilter]:
+        """The canonical wire image of ``version`` (:func:`build_filter_at`'s
+        build) and a live filter rehydrated from it, so :meth:`image`
+        returns those bytes without serializing the filter again."""
+        params = params_at(capacity, self.fpp, self.load_factor, self.seed, version)
+        image = build_image(self.filter_kind, params, items)
+        filt = deserialize_filter(image)
+        filt.attach_source_items(list(items))
+        return image, filt
 
     @property
     def version(self) -> int:
@@ -740,7 +739,6 @@ class DeltaApplier:
             self._apply_snapshot(update, snapshot_items)
         else:
             self._apply_patch(update)
-        self._image = None
 
     def _apply_snapshot(
         self,
@@ -781,18 +779,20 @@ class DeltaApplier:
         self._capacity = params.capacity
         self._version = snapshot.version
         self._filter = filt
+        self._image = None
         obs.inc("amq.delta.resyncs")
 
     def _apply_patch(self, patch: FilterDelta) -> None:
         self._check_patch(patch)
         new_items = apply_diff(self._items, patch.removed_indices, patch.added)
         try:
-            filt = self._build(patch.capacity, patch.to_version, new_items)
+            image, filt = self._build(patch.capacity, patch.to_version, new_items)
         except FilterFullError as exc:
             raise FilterSerializationError(
                 f"patch overflows the filter's capacity {patch.capacity}: "
                 f"{exc}"
             ) from exc
+        self._image = image
         self._filter = filt
         self._items = new_items
         self._capacity = patch.capacity

@@ -8,7 +8,7 @@ Only the universal types X.509 structures need are implemented.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.errors import ASN1Error
 
@@ -20,7 +20,6 @@ TAG_OCTET_STRING = 0x04
 TAG_NULL = 0x05
 TAG_OID = 0x06
 TAG_UTF8_STRING = 0x0C
-TAG_PRINTABLE_STRING = 0x13
 TAG_UTC_TIME = 0x17
 TAG_GENERALIZED_TIME = 0x18
 TAG_SEQUENCE = 0x30

@@ -12,8 +12,8 @@ local ICA cache.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ChainValidationError, RevocationError
 from repro.pki.certificate import Certificate

@@ -11,14 +11,13 @@ without the extension, exactly the recovery the paper specifies.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from repro import obs
 from repro.errors import (
     ChainValidationError,
     DecodeError,
-    HandshakeError,
     RevocationError,
     UnexpectedMessageError,
 )
@@ -36,7 +35,6 @@ from repro.tls.messages import (
     ClientHello,
     EncryptedExtensions,
     Finished,
-    HandshakeType,
     ServerHello,
     decode_handshake,
 )

@@ -35,11 +35,26 @@ between refreshes the advertised bytes stay stale.
 cache and advertised filter are byte-for-byte the preload state, so the
 precomputed per-path facts describe their handshakes exactly.  Users the
 base-state probe flags as FP-affected ("divergent") are excluded from the
-column fast path and replayed through the real object pipeline
-(:class:`~repro.core.suppression.ClientSuppressor`, the manager's insert/
-rebuild machinery, ``parse_extension_payload`` round-trips) — byte-exact
-with the scalar reference, and cheap because the configured fpp makes
-them rare.  ``tests/webmodel/test_cohort_vs_scalar.py`` pins the
+column fast path and replayed through a memoized client-state machine.
+A divergent user's cache and filter are pure functions of the preload
+and the ordered ICA batches it learned, so a state is the tuple of path
+ordinals learned so far (``()`` is the preload) and the advertised key is
+the state at the last payload refresh.  The engine memoizes
+``state -> (parsed advertised filter, learned fingerprints)``,
+``(advertised key, ordinal) -> probe hits`` and
+``(state, ordinal) -> (ICAs learned, next state)``; users in one state
+share one suppressor build, one payload parse and one probe per path.
+Each state is built from real core objects
+(:class:`~repro.core.suppression.ClientSuppressor` from the preload, then
+``cache.add_many`` per learned batch in order), so insert order and
+rebuilds match the scalar reference byte for byte.  Every memo entry is
+computed under ``obs.scoped()`` and its snapshot is merged on every use
+(a refresh merges the payload build only when the state changed since the
+last capture, and always the parse, as the per-user suppressor's payload
+memo would), so every counter export equals a per-user replay's at any
+``--jobs``.  The memos are LRUs of ``_STATE_MEMO_ENTRIES`` entries; an
+evicted state is rebuilt, unmetered, from the preload by replaying its
+learned batches.  ``tests/webmodel/test_cohort_vs_scalar.py`` pins the
 equivalence against the untouched per-handshake TLS machine.
 
 Aggregate float identity: RTTs are kept as one (user-major, slot-major)
@@ -50,17 +65,19 @@ result is independent of block size and ``--jobs``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
+from repro.amq import AMQFilter
 from repro.core.extension import parse_extension_payload
 from repro.core.suppression import ClientSuppressor
 from repro.errors import ConfigurationError, SimulationError
 from repro.pki.algorithms import get_signature_algorithm
 from repro.pki.certificate import DEFAULT_ATTRIBUTE_BYTES
 from repro.pki.store import IntermediatePreload
+from repro.runtime.artifacts import ContentCache
 from repro.runtime.parallel import parallel_map, resolve_jobs, run_metered
 from repro.webmodel import cohortrng
 from repro.webmodel.population import ICAPopulation, PopulationConfig
@@ -343,7 +360,7 @@ def _first_contact_mask(ranks: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _UserReplay:
-    """Exact per-user accounting produced by the object-replay slow path."""
+    """Exact per-user accounting produced by the client-state replay."""
 
     retries: int
     icas_sent_first: int
@@ -351,6 +368,154 @@ class _UserReplay:
     ica_bytes_sent_first: int
     ica_bytes_sent_total: int
     learned_icas: int
+
+
+#: LRU bound of each memo of :class:`_ClientStates` (states, probes,
+#: transitions).  An evicted state is rebuilt from the preload by
+#: replaying its at most ``handshakes_per_user`` learned batches, so the
+#: bound caps memory without changing any result.
+_STATE_MEMO_ENTRIES = 1024
+
+
+@dataclass(frozen=True)
+class _ClientState:
+    """One divergent-user client state: the ordered path ordinals the
+    client has learned (``()`` is the preload), the fingerprints those
+    paths added beyond the preload, and the state's advertised filter as
+    the server parses it, with the obs snapshots of building and parsing
+    its payload (``None``/empty where the cohort never advertises it)."""
+
+    key: Tuple[int, ...]
+    learned: FrozenSet[bytes]
+    advertised: Optional[AMQFilter]
+    payload_snap: dict
+    parse_snap: dict
+
+
+class _ClientStates:
+    """Memoized client-state machine of the divergent-user replay (keys,
+    bound and metric replay: see the module docstring)."""
+
+    def __init__(
+        self, config: CohortConfig, hot: Sequence, facts: PathFacts
+    ) -> None:
+        self._config = config
+        self._hot = hot
+        self._facts = facts
+        self._states = ContentCache("cohort_states", _STATE_MEMO_ENTRIES)
+        self._probes = ContentCache("cohort_probes", _STATE_MEMO_ENTRIES)
+        self._steps = ContentCache("cohort_steps", _STATE_MEMO_ENTRIES)
+        self._start_snap: Optional[dict] = None
+        self.base_known: FrozenSet[bytes] = frozenset()
+
+    def _suppressor(self) -> ClientSuppressor:
+        cfg = self._config
+        return ClientSuppressor(
+            preload=IntermediatePreload(self._hot),
+            filter_kind=cfg.filter_kind,
+            fpp=cfg.fpp,
+            load_factor=cfg.load_factor,
+            budget_bytes=None,
+            seed=cfg.seed,
+        )
+
+    def _rebuild(self, key: Tuple[int, ...]) -> ClientSuppressor:
+        """A fresh suppressor in state ``key``, built from the preload
+        (unmetered: the replayed user never performs this work)."""
+        with obs.scoped():
+            suppressor = self._suppressor()
+            for ordinal in key:
+                suppressor.cache.add_many(self._facts.certs[ordinal])
+        return suppressor
+
+    def _make_state(
+        self, key: Tuple[int, ...], suppressor: ClientSuppressor
+    ) -> _ClientState:
+        """Memoize state ``key`` from its suppressor, which must not have
+        built a payload since it reached the state."""
+        learned = frozenset(
+            fp for ordinal in key for fp in self._facts.fps[ordinal]
+        )
+        advertised = None
+        payload_snap = parse_snap = {}
+        if not key or self._config.payload_refresh_every:
+            with obs.scoped() as scope:
+                payload = suppressor.extension_payload()
+            payload_snap = scope.snapshot()
+            with obs.scoped() as scope:
+                advertised = parse_extension_payload(payload)
+            parse_snap = scope.snapshot()
+        state = _ClientState(key, learned, advertised, payload_snap, parse_snap)
+        self._states.put(key, state)
+        return state
+
+    def _state(self, key: Tuple[int, ...]) -> _ClientState:
+        state = self._states.get(key)
+        if state is None:
+            state = self._make_state(key, self._rebuild(key))
+        return state
+
+    def start(self) -> _ClientState:
+        """A new replay user: the preload state, with the obs snapshot of
+        building a suppressor, its payload and the parse merged."""
+        if self._start_snap is None:
+            with obs.scoped() as scope:
+                suppressor = self._suppressor()
+            self._start_snap = scope.snapshot()
+            self.base_known = frozenset(suppressor.cache.fingerprints())
+            self._make_state((), suppressor)
+        root = self._state(())
+        obs.merge(self._start_snap)
+        obs.merge(root.payload_snap)
+        obs.merge(root.parse_snap)
+        return root
+
+    def refresh(
+        self, advertised: _ClientState, state: _ClientState
+    ) -> _ClientState:
+        """Re-capture the advertised payload at ``state``: like the
+        suppressor's payload memo, it serialises only when the state
+        changed since the last capture, and it always parses."""
+        if advertised.key != state.key:
+            obs.merge(state.payload_snap)
+        obs.merge(state.parse_snap)
+        return state
+
+    def probe(self, advertised: _ClientState, ordinal: int) -> tuple:
+        """Hits of path ``ordinal``'s fingerprints in the advertised
+        filter."""
+        key = (advertised.key, ordinal)
+        cached = self._probes.get(key)
+        if cached is None:
+            with obs.scoped() as scope:
+                hits = tuple(
+                    advertised.advertised.contains_batch(self._facts.fps[ordinal])
+                )
+            cached = (hits, scope.snapshot())
+            self._probes.put(key, cached)
+        hits, snap = cached
+        obs.merge(snap)
+        return hits
+
+    def step(
+        self, state: _ClientState, ordinal: int
+    ) -> Tuple[int, _ClientState]:
+        """Learn path ``ordinal``'s ICAs at ``state``: ``(ICAs new to the
+        cache, next state)``."""
+        key = (state.key, ordinal)
+        cached = self._steps.get(key)
+        if cached is None:
+            suppressor = self._rebuild(state.key)
+            with obs.scoped() as scope:
+                added = suppressor.cache.add_many(self._facts.certs[ordinal])
+            next_key = state.key + (ordinal,)
+            cached = (added, next_key, scope.snapshot())
+            self._steps.put(key, cached)
+            if self._states.get(next_key) is None:
+                self._make_state(next_key, suppressor)
+        added, next_key, snap = cached
+        obs.merge(snap)
+        return added, self._state(next_key)
 
 
 class CohortEngine:
@@ -385,6 +550,7 @@ class CohortEngine:
         self._payload = base.extension_payload()
         self._facts = PathFacts(self.population, base)
         self._keys = cohort_stream_keys(config.seed)
+        self._machine = _ClientStates(config, self._hot, self._facts)
 
     # -- columnar fast path + replay slow path ---------------------------------
 
@@ -436,7 +602,7 @@ class CohortEngine:
         sent_total_count = sent_first_count.copy()
         sent_total_bytes = sent_first_bytes.copy()
 
-        # Divergent rows: exact replay through the real object pipeline.
+        # Divergent rows: exact replay through the client-state machine.
         for local in np.nonzero(divergent)[0]:
             replay = self._replay_user(ranks[local], first[local])
             retries[local] = replay.retries
@@ -467,21 +633,15 @@ class CohortEngine:
     def _replay_user(
         self, rank_row: np.ndarray, first_row: np.ndarray
     ) -> _UserReplay:
-        """Replay one FP-affected user with real core objects, so filter
-        evolution (insert order, full-table rebuilds, payload refreshes)
-        matches the scalar reference byte-for-byte."""
+        """Replay one FP-affected user through the engine's client-state
+        machine: every probe, learned batch and payload refresh is a memo
+        lookup whose obs snapshot is merged, so the user's filter
+        evolution and counters match the scalar reference byte-for-byte."""
         cfg = self.config
         facts = self._facts
-        suppressor = ClientSuppressor(
-            preload=IntermediatePreload(self._hot),
-            filter_kind=cfg.filter_kind,
-            fpp=cfg.fpp,
-            load_factor=cfg.load_factor,
-            budget_bytes=None,
-            seed=cfg.seed,
-        )
-        advertised = parse_extension_payload(suppressor.extension_payload())
-        known = set(suppressor.cache.fingerprints())
+        machine = self._machine
+        state = advertised = machine.start()
+        base_known = machine.base_known
         refresh_every = cfg.payload_refresh_every
         handshake_index = 0
         retries = learned = 0
@@ -495,13 +655,11 @@ class CohortEngine:
                 and handshake_index > 0
                 and handshake_index % refresh_every == 0
             ):
-                advertised = parse_extension_payload(
-                    suppressor.extension_payload()
-                )
+                advertised = machine.refresh(advertised, state)
             ordinal = facts.ordinal(int(rank_row[slot]))
             fps = facts.fps[ordinal]
             sizes = facts.sizes[ordinal]
-            hits = list(advertised.contains_batch(fps)) if fps else []
+            hits = machine.probe(advertised, ordinal) if fps else ()
             suppressed = [i for i, hit in enumerate(hits) if hit]
             total_bytes = sum(sizes)
             supp_bytes = sum(sizes[i] for i in suppressed)
@@ -511,14 +669,17 @@ class CohortEngine:
             sent_total_count += sent_count
             sent_first_bytes += sent_bytes
             sent_total_bytes += sent_bytes
-            if any(fps[i] not in known for i in suppressed):
+            if any(
+                fps[i] not in base_known and fps[i] not in state.learned
+                for i in suppressed
+            ):
                 # False positive: the plain retry resends the full chain
                 # and the client learns its ICAs.
                 retries += 1
                 sent_total_count += len(fps)
                 sent_total_bytes += total_bytes
-                learned += suppressor.cache.add_many(facts.certs[ordinal])
-                known.update(fps)
+                added, state = machine.step(state, ordinal)
+                learned += added
             handshake_index += 1
         return _UserReplay(
             retries=retries,

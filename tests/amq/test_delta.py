@@ -482,6 +482,19 @@ class TestApplier:
         _, app = self._pair()
         assert app.image() is app.image()
 
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_patched_image_is_the_build_image(self, name, monkeypatch):
+        # A successful patch keeps the bytes its rebuild produced, so the
+        # advertised image costs no second serialize of the new filter.
+        pub, app = self._pair(name)
+        pub.publish(list(pub.items[1:]) + [_UNIVERSE[10]])
+        monkeypatch.setattr(
+            "repro.amq.delta.serialize_filter",
+            lambda filt: pytest.fail("image() re-serialized the filter"),
+        )
+        app.apply(pub.patch_message(0, 1))
+        assert app.image() == pub.image_at(1)
+
     def test_wrong_family_rejected(self):
         _, app = self._pair()
         patch = _patch(filter_kind="bloom", seed=7)

@@ -90,6 +90,35 @@ def test_serial_and_parallel_merge_identically():
     assert serial == parallel
 
 
+def test_whole_export_is_identical_across_jobs():
+    """Every deterministic counter — the replayed ``amq.*`` and ``core.*``
+    work of the divergent users included — is the same at jobs 1 and 2,
+    with blocks small enough that each worker's client-state memo holds
+    different entries when it serves a user."""
+    config = CohortConfig(
+        num_users=400,
+        handshakes_per_user=6,
+        hot_top_n=40,
+        fpp=0.25,
+        payload_refresh_every=2,
+        seed=1,
+        block_users=64,
+        population=reduced_population_config(),
+    )
+    population = shared_population(config.population)
+    exports = []
+    for jobs, shared in ((1, population), (2, None)):
+        artifacts.clear()
+        reg = obs.enable()
+        stats = run_cohort(config, jobs=jobs, population=shared).stats
+        exports.append(deterministic_counters(reg.snapshot()))
+        obs.disable()
+    assert stats.divergent_users > 0
+    assert any(name.startswith("amq.") for name in exports[0])
+    assert any(name.startswith("core.") for name in exports[0])
+    assert exports[0] == exports[1]
+
+
 def test_scalar_reference_emits_identical_counters():
     population = shared_population(reduced_population_config())
     _, engine = _cohort_counters(
