@@ -580,26 +580,33 @@ class DeltaPublisher:
     def update_since(self, from_version: int) -> bytes:
         """The cheapest valid update for a client at ``from_version``:
         the merged patch or the full snapshot, whichever is smaller on
-        the wire (byte savings are metered either way)."""
+        the wire (byte savings are metered either way).  Every snapshot
+        answer counts one ``amq.delta.snapshot_fallbacks`` with its
+        ``reason``: ``base_too_wide`` (the base list overflows the uint16
+        removal indices), ``unpatchable`` (the patch cannot be encoded)
+        or ``patch_larger``."""
         if from_version >= self.version:
             raise ConfigurationError(
                 f"client version {from_version} is not behind head "
                 f"{self.version}"
             )
         snapshot = self.snapshot_message()
-        patch: Optional[bytes] = None
         old = self._history[from_version][0]
-        # A base list too wide for uint16 indices cannot be patched.
-        if len(old) <= 0x10000:
+        if len(old) > 0x10000:
+            reason = "base_too_wide"
+        else:
             try:
                 patch = self.patch_message(from_version)
             except FilterSerializationError:
-                patch = None
-        if patch is not None and len(patch) < len(snapshot):
-            obs.inc("amq.delta.patch_messages")
-            obs.inc("amq.delta.bytes_saved", len(snapshot) - len(patch))
-            return patch
+                reason = "unpatchable"
+            else:
+                if len(patch) < len(snapshot):
+                    obs.inc("amq.delta.patch_messages")
+                    obs.inc("amq.delta.bytes_saved", len(snapshot) - len(patch))
+                    return patch
+                reason = "patch_larger"
         obs.inc("amq.delta.full_messages")
+        obs.inc("amq.delta.snapshot_fallbacks", labels=(("reason", reason),))
         return snapshot
 
 

@@ -17,15 +17,19 @@ is also byte-identical across ``engine`` — the cross-engine ``cmp`` the
 CI churn-smoke enforces.
 
 Cells are built trial-major and each carries its trial index.  The
-levels of one trial see one event stream, so they share a trace memo
-(:data:`~repro.webmodel.churn_columnar.TraceMemo`) and each distinct
+levels of one trial see one event stream, so they share one engine memo
+(:class:`~repro.webmodel.churn_columnar.ChurnMemo`).  Its world tape
+means the trial's :class:`~repro.webmodel.churn.ChurnWorld` is built and
+advanced once, by the first level to reach each step, and every other
+level replays the recorded frames.  Its trace memo means each distinct
 handshake context — per epoch, a site, the advertised payload's length
 and the probe hit on the site's chain, which is all the trace reads from
 the payload — runs through the TLS machine once per trial rather than
 once per level or per payload image.  Trials reseed the world, so no
-context recurs across them: :class:`_TrialTraces` drops the memo when the
-next trial's first cell arrives, and a process holds one trial's traces
-at a time.
+frame or context recurs across them: :class:`_TrialTraces` drops the
+memo when the next trial's first cell arrives, and a process holds one
+trial's tape and traces at a time.  A level that lands on another worker
+records a tape of its own there.
 When there are at least as many trials as workers, the pool maps one
 trial's levels per chunk (``chunksize=len(staleness_levels)``) and every
 worker is still busy; with fewer trials than workers it keeps the pool's
@@ -58,7 +62,7 @@ from repro.runtime.parallel import derive_seed, parallel_map, resolve_jobs
 from repro.webmodel.churn import ChurnConfig
 from repro.webmodel.churn_columnar import (
     ChurnCohortConfig,
-    TraceMemo,
+    ChurnMemo,
     run_churn_cohort,
 )
 from repro.webmodel.churn_reference import run_churn_cohort_reference
@@ -129,17 +133,18 @@ def _cell_config(config: ChurnExperimentConfig, level: int, trial: int) -> Churn
 
 
 class _TrialTraces:
-    """The trace memo of the trial a process is running (see the module
-    docstring): a cell of another trial starts an empty one."""
+    """The memo of the trial a process is running — its world tape and
+    its representative traces (see the module docstring): a cell of
+    another trial starts an empty one."""
 
     def __init__(self) -> None:
         self.trial: Optional[int] = None
-        self.traces: TraceMemo = {}
+        self.memo = ChurnMemo()
 
-    def of(self, trial: int) -> TraceMemo:
+    def of(self, trial: int) -> ChurnMemo:
         if trial != self.trial:
-            self.trial, self.traces = trial, {}
-        return self.traces
+            self.trial, self.memo = trial, ChurnMemo()
+        return self.memo
 
 
 def _run_cell(

@@ -10,7 +10,10 @@ periodic preload-list refresh, the CCADB drift model): the columnar cohort
 engine in :mod:`repro.webmodel.churn_columnar` and its executable scalar
 spec in :mod:`repro.webmodel.churn_reference`. Both drive the *identical*
 lifecycle event stream (same ``churn.events`` RNG draws, same
-issuance/cross-sign/revoke/rotate ordering).
+issuance/cross-sign/revoke/rotate ordering), and both read it through a
+:class:`WorldTape`: the world runs once and records, step by step, the
+frame of everything a client reads from it, so several client models of
+one world replay one recording instead of each advancing its own copy.
 
 The load-bearing knob is **advertised-payload staleness**: a client's
 *filter* tracks its cache exactly, but the serialized payload it attaches
@@ -34,10 +37,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from repro import obs
-from repro.core.suppression import ServerSuppressor
 from repro.errors import ConfigurationError
 from repro.pki.authority import (
     CA_VALIDITY,
@@ -202,7 +204,7 @@ class _ICARecord:
     revoked: bool = False
 
     def live_variant(
-        self, step: int, crl: RevocationList, at_time: int
+        self, crl: RevocationList, at_time: int
     ) -> Optional[Tuple[Certificate, Certificate]]:
         """Newest variant that is unrevoked and valid — what a rotating
         site would deploy."""
@@ -228,10 +230,9 @@ class ChurnWorld:
     serving sites, and the per-step mutation phase (issue → cross-sign →
     revoke → rotate) driven by the ``churn.events`` RNG stream.
 
-    A world is client-free on purpose: the columnar cohort engine and its
-    scalar spec both attach their own client models to one of these, and
-    because every draw comes from
-    :func:`~repro.runtime.parallel.derive_seed` streams keyed only by
+    A world is client-free on purpose: clients read it only through a
+    :class:`WorldTape` recorded from it, and because every draw comes
+    from :func:`~repro.runtime.parallel.derive_seed` streams keyed only by
     (config.seed, step), two worlds built from one config replay the
     identical event stream whatever consumes them.
     """
@@ -263,13 +264,14 @@ class ChurnWorld:
         ]
         self.trust_store = TrustStore([r.certificate for r in self.roots])
         self.crl = RevocationList()
+        #: Every certificate :attr:`crl` holds, in revocation order.
+        self.revocations: List[Certificate] = []
         self.records: List[_ICARecord] = []
         for i in range(config.initial_icas):
             # Staggered expiries: the sweep fires across the horizon, not
             # in one burst at step ``ica_validity_steps``.
             stagger = i % max(1, config.ica_validity_steps // 2)
             self._issue_ica(step=0, expire_step=config.ica_validity_steps + stagger)
-        self.server_suppressor = ServerSuppressor()
         self.sites: List[_Site] = []
         rng = random.Random(derive_seed("churn.sites", config.seed))
         for i in range(config.num_sites):
@@ -304,14 +306,14 @@ class ChurnWorld:
             return False
         at_time = step * cfg.step_seconds
         candidates = [
-            (i, r)
-            for i, r in enumerate(self.records)
+            r
+            for r in self.records
             if r.expire_step > step + 1
-            and r.live_variant(step, self.crl, at_time) is not None
+            and r.live_variant(self.crl, at_time) is not None
         ]
         if not candidates:
             return False
-        index, record = candidates[rng.randrange(len(candidates))]
+        record = candidates[rng.randrange(len(candidates))]
         current_root = record.variants[-1][1]
         other_roots = [
             r for r in self.roots if r.certificate.subject != current_root.subject
@@ -334,15 +336,16 @@ class ChurnWorld:
             i
             for i, r in enumerate(self.records)
             if r.expire_step > step + 1
-            and r.live_variant(step, self.crl, at_time) is not None
+            and r.live_variant(self.crl, at_time) is not None
         ]
         if len(servable) <= 2:  # keep the ecosystem servable
             return False
         index = servable[rng.randrange(len(servable))]
         record = self.records[index]
-        cert, _ = record.live_variant(step, self.crl, at_time)
+        cert, _ = record.live_variant(self.crl, at_time)
         self.crl.revoke(cert, at_time=at_time)
-        record.revoked = record.live_variant(step, self.crl, at_time) is None
+        self.revocations.append(cert)
+        record.revoked = record.live_variant(self.crl, at_time) is None
         self.events.append((step, "revoke", cert.subject))
         # Sites serving the revoked certificate rotate only after the lag.
         for site in self.sites:
@@ -361,7 +364,7 @@ class ChurnWorld:
             (i, variant)
             for i, r in enumerate(self.records)
             if r.expire_step > step + 1
-            and (variant := r.live_variant(step, self.crl, at_time)) is not None
+            and (variant := r.live_variant(self.crl, at_time)) is not None
         ]
         if not servable:
             # Renewal issuance: when revocations plus expiries have drained
@@ -457,6 +460,85 @@ class ChurnWorld:
         )
         rotations = self._rotate_due_sites(step, rng)
         return issued, cross_signed, revoked, rotations
+
+
+class ServedSite(NamedTuple):
+    """A serving site as clients see it."""
+
+    hostname: str
+    credential: ServerCredential
+
+
+def _served(sites: List[_Site]) -> Tuple[ServedSite, ...]:
+    return tuple(ServedSite(s.hostname, s.credential) for s in sites)
+
+
+@dataclass(frozen=True)
+class WorldFrame:
+    """Everything clients read from one step of a :class:`ChurnWorld`,
+    taken right after :meth:`ChurnWorld.advance`.  Fields are tuples of
+    references to immutable certificates and credentials, never the
+    world's live lists."""
+
+    #: ``advance``'s ``(issued, cross_signed, revoked, rotations)``.
+    counts: Tuple[int, int, int, int]
+    #: Certificates revoked this step, in revocation order.
+    revocations: Tuple[Certificate, ...]
+    #: Every site after this step's rotations.
+    sites: Tuple[ServedSite, ...]
+    #: ``live_certificates(step)`` on preload-refresh steps, else ``None``.
+    live: Optional[Tuple[Certificate, ...]]
+    #: The lifecycle events this step recorded.
+    events: Tuple[Tuple[int, str, str], ...]
+
+
+class WorldTape:
+    """One :class:`ChurnWorld` recorded once and replayed by any number
+    of readers.
+
+    The tape builds the world up front and captures what a client reads
+    before the first step (preload certificates, trust store, sites,
+    events).  The first reader to ask for a step advances the world and
+    records that step's :class:`WorldFrame`; every later reader gets the
+    recorded frame.  Frames are snapshots, so a reader starting at step 0
+    after another has run the whole horizon sees step 0 as the first
+    reader did.  Readers must not differ in anything the world reads: the
+    staleness levels of one trial (which differ only in
+    ``payload_refresh_every``) share one tape.
+    """
+
+    def __init__(self, config: ChurnConfig) -> None:
+        self.config = config
+        self._world = world = ChurnWorld(config)
+        self.trust_store = world.trust_store
+        self.initial_certificates = tuple(world.initial_certificates())
+        self.initial_sites = _served(world.sites)
+        self.initial_events = tuple(world.events)
+        self.frames: List[WorldFrame] = []
+
+    def frame(self, step: int) -> WorldFrame:
+        """The frame of ``step``, recording every step up to it that no
+        reader has reached yet."""
+        while len(self.frames) <= step:
+            self._record(len(self.frames))
+        return self.frames[step]
+
+    def _record(self, step: int) -> None:
+        world = self._world
+        revoked, events = len(world.revocations), len(world.events)
+        counts = world.advance(step)
+        live = None
+        if step and step % self.config.preload_refresh_every == 0:
+            live = tuple(world.live_certificates(step))
+        self.frames.append(
+            WorldFrame(
+                counts=counts,
+                revocations=tuple(world.revocations[revoked:]),
+                sites=_served(world.sites),
+                live=live,
+                events=tuple(world.events[events:]),
+            )
+        )
 
 
 def record_churn_step(m: StepMetrics) -> None:

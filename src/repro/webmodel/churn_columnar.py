@@ -14,7 +14,13 @@ trajectory so that it vectorizes:
 
 * One :class:`~repro.webmodel.churn.ChurnWorld` supplies the lifecycle
   event stream (issuance / cross-sign / revoke / rotate), byte-identical
-  across engines because the world is shared code and RNG streams.
+  across engines because the world is shared code and RNG streams.  The
+  cohort reads it through a :class:`~repro.webmodel.churn.WorldTape`:
+  per step, the ``advance`` counts, the certificates revoked, the served
+  sites, the live set on preload-refresh steps and the step's events,
+  recorded as snapshots the first time any reader reaches the step.
+  Everything the cohort mutates — its CRL, its event list, its server
+  suppressor — stays on :class:`ChurnCohortState`.
 * One canonical :class:`~repro.core.cache.ICACache` stands for every
   client's cache: per epoch it sweeps expiries, applies the CRL, takes
   the periodic preload refresh, and at epoch end learns the ICAs of every
@@ -55,18 +61,20 @@ suppress exactly what the probe hits, or the epoch raises
 :class:`~repro.errors.SimulationError`.  Every served chain must hold
 exactly one ICA (one hit per site); a longer chain raises too.
 
-Representative traces live in a trace memo (:data:`TraceMemo`) the
-caller may share between engines, keyed by everything the trace reads:
-per epoch, the world config with the generation count normalised away,
+The caller may share a :class:`ChurnMemo` between engines.  It holds
+one world tape per world config with the generation count normalised
+away (which the world never reads), and a trace memo (:data:`TraceMemo`)
+keyed by everything the trace reads: per epoch, that normalised config,
 the step and the canonical cache's fingerprint digest; within the epoch,
 the site, the advertised payload's length and the probe hit on the
 site's ICA.  Generations whose images differ but agree on both share one
 handshake.  The staleness levels of one trial share a world and — level
 by level — the same canonical cache, so an experiment that hands its
-levels one memo runs each distinct context once per trial.  A miss
-stores the handshake's obs-counter deltas and every hit replays them, so
-``tls.*`` counters do not depend on which cell or worker ran the
-handshake.
+levels one memo builds and advances the world once and runs each
+distinct context once per trial.  A trace miss stores the handshake's
+obs-counter deltas and every hit replays them, so ``tls.*`` counters do
+not depend on which cell or worker ran the handshake; the world emits
+no counters, so replaying its frames needs no such step.
 
 Wire images come from the one memoized AMQ build
 (:func:`repro.amq.serialization.build_image`, cached in
@@ -101,7 +109,9 @@ from repro.amq.serialization import build_image
 from repro.core.cache import ICACache
 from repro.core.extension import parse_extension_payload
 from repro.core.filter_config import plan_filter
+from repro.core.suppression import ServerSuppressor
 from repro.errors import ConfigurationError, SimulationError
+from repro.pki.revocation import RevocationList
 from repro.runtime import artifacts
 from repro.runtime.parallel import derive_seed
 from repro.tls.client import ClientConfig
@@ -110,8 +120,9 @@ from repro.tls.session import HandshakeOutcome, HandshakeTrace, run_handshake
 from repro.webmodel.churn import (
     ChurnConfig,
     ChurnResult,
-    ChurnWorld,
+    ServedSite,
     StepMetrics,
+    WorldTape,
     record_churn_step,
 )
 from repro.webmodel.cohortrng import block_counters, stream_key, uniforms
@@ -259,18 +270,34 @@ def generation_size(generation: int, num_clients: int, generations: int) -> int:
 
 
 class ChurnCohortState:
-    """The engine-independent half of the churn cohort protocol: world,
-    canonical cache, generation captures, and the epoch maintenance /
-    learning phases.  Both the columnar engine and the scalar reference
-    drive exactly this object, so any divergence between them is in the
-    handshake resolution alone — the property the differential suite
-    leans on."""
+    """The engine-independent half of the churn cohort protocol: canonical
+    cache, CRL, generation captures, and the epoch maintenance / learning
+    phases, fed by the frames of a :class:`~repro.webmodel.churn.WorldTape`.
+    Both the columnar engine and the scalar reference drive exactly this
+    object, so any divergence between them is in the handshake resolution
+    alone — the property the differential suite leans on.
 
-    def __init__(self, config: ChurnCohortConfig) -> None:
+    The state reads the world through ``tape`` only (a fresh recording of
+    its own when none is given) and keeps everything it mutates per cell:
+    its own :class:`~repro.pki.revocation.RevocationList`, extended by each
+    frame's revocations; its own event list, each frame's events followed
+    by its own preload-refresh entry; and its own
+    :class:`~repro.core.suppression.ServerSuppressor`, whose parsed-filter
+    cache and counters are per-cell history.  :attr:`sites` is the current
+    frame's sites.
+    """
+
+    def __init__(
+        self, config: ChurnCohortConfig, tape: Optional[WorldTape] = None
+    ) -> None:
         self.config = config
-        self.world = ChurnWorld(config.world)
+        self.tape = WorldTape(config.world) if tape is None else tape
+        self.sites: Tuple[ServedSite, ...] = self.tape.initial_sites
+        self.events: List[Tuple[int, str, str]] = list(self.tape.initial_events)
+        self.crl = RevocationList()
+        self.server_suppressor = ServerSuppressor()
         self.cache = ICACache()
-        self.cache.add_many(self.world.initial_certificates())
+        self.cache.add_many(self.tape.initial_certificates)
         self.generations = config.world.payload_refresh_every
         self.distribution = config.world.distribution
         cfg = config.world
@@ -355,25 +382,29 @@ class ChurnCohortState:
         return len(update)
 
     def begin_epoch(self, step: int) -> EpochCounts:
-        """Advance the world and run the epoch's client maintenance:
-        expiry sweep, CRL application, periodic preload refresh, and the
-        due generation's payload re-capture.  Per-client tallies scale
-        the canonical trajectory by the cohort size — every client runs
-        the same maintenance, so counting it N times is exact, not an
-        estimate."""
+        """Take the step's world frame and run the epoch's client
+        maintenance: expiry sweep, CRL application, periodic preload
+        refresh, and the due generation's payload re-capture.  Per-client
+        tallies scale the canonical trajectory by the cohort size — every
+        client runs the same maintenance, so counting it N times is
+        exact, not an estimate."""
         cfg = self.config.world
         n = self.config.num_clients
-        issued, cross_signed, revoked, rotations = self.world.advance(step)
+        frame = self.tape.frame(step)
+        issued, cross_signed, revoked, rotations = frame.counts
         at_time = step * cfg.step_seconds
+        for cert in frame.revocations:
+            self.crl.revoke(cert, at_time=at_time)
+        self.sites = frame.sites
+        self.events.extend(frame.events)
         expired = self.cache.sweep_expired(at_time)
-        self.cache.apply_revocations(self.world.crl)
+        self.cache.apply_revocations(self.crl)
         preload_added = 0
-        if step and step % cfg.preload_refresh_every == 0:
-            live = self.world.live_certificates(step)
+        if frame.live is not None:
             preload_added = self.cache.add_many(
-                [cert for cert in live if cert not in self.cache]
+                [cert for cert in frame.live if cert not in self.cache]
             )
-            self.world.events.append(
+            self.events.append(
                 (step, "preload-refresh", f"added={preload_added * n}")
             )
         due = (-step) % self.generations
@@ -401,7 +432,7 @@ class ChurnCohortState:
         """Per-site ICA fingerprints of the currently served chains."""
         return [
             tuple(c.fingerprint() for c in s.credential.chain.intermediates)
-            for s in self.world.sites
+            for s in self.sites
         ]
 
     def finish_epoch(self, succeeded_sites: Set[int]) -> None:
@@ -412,12 +443,12 @@ class ChurnCohortState:
         fresh = []
         seen: Set[bytes] = set()
         for index in sorted(succeeded_sites):
-            chain = self.world.sites[index].credential.chain
+            chain = self.sites[index].credential.chain
             for cert in chain.intermediates:
                 fp = cert.fingerprint()
                 if (
                     fp not in seen
-                    and not self.world.crl.is_revoked(cert)
+                    and not self.crl.is_revoked(cert)
                     and cert not in self.cache
                 ):
                     seen.add(fp)
@@ -431,10 +462,9 @@ class ChurnCohortState:
         """One real handshake through the untouched TLS machine, seeded
         exactly as the scalar reference seeds this cell."""
         cfg = self.config.world
-        world = self.world
-        site = world.sites[site_index]
+        site = self.sites[site_index]
         client_config = ClientConfig(
-            trust_store=world.trust_store,
+            trust_store=self.tape.trust_store,
             kem_name=cfg.kem_name,
             hostname=site.hostname,
             at_time=step * cfg.step_seconds,
@@ -444,7 +474,7 @@ class ChurnCohortState:
         )
         server_config = ServerConfig(
             credential=site.credential,
-            suppression_handler=world.server_suppressor,
+            suppression_handler=self.server_suppressor,
             seed=derive_seed("churn.cohort.server", cfg.seed, step, client, slot),
         )
         return run_handshake(client_config, server_config)
@@ -461,6 +491,16 @@ EpochTraces = Dict[Tuple[int, int, bool], Tuple[TraceStats, Dict[str, Any]]]
 
 #: Trace memo (see the module docstring): epoch key -> that epoch's traces.
 TraceMemo = Dict[tuple, EpochTraces]
+
+
+@dataclass
+class ChurnMemo:
+    """Work that engines handed one memo share (see the module
+    docstring): representative traces, and one world tape per world
+    config with ``payload_refresh_every`` normalised away."""
+
+    traces: TraceMemo = field(default_factory=dict)
+    tapes: Dict[ChurnConfig, WorldTape] = field(default_factory=dict)
 
 
 def _trace_stats(trace: HandshakeTrace) -> TraceStats:
@@ -481,20 +521,26 @@ def _trace_stats(trace: HandshakeTrace) -> TraceStats:
 class ChurnCohortEngine:
     """The columnar engine: one representative trace per distinct
     handshake context, broadcast over the context's population; engines
-    sharing a ``traces`` memo run each context once between them."""
+    sharing a ``memo`` run each context once and the world once between
+    them."""
 
     def __init__(
         self,
         config: ChurnCohortConfig = ChurnCohortConfig(),
-        traces: Optional[TraceMemo] = None,
+        memo: Optional[ChurnMemo] = None,
     ) -> None:
         self.config = config
-        self.state = ChurnCohortState(config)
-        self._site_key = churn_stream_keys(config.world.seed)[SITE_STREAM]
-        self._traces: TraceMemo = {} if traces is None else traces
+        memo = ChurnMemo() if memo is None else memo
         # Levels of one trial differ only in the generation count, which
-        # the trace never reads; normalising it away lets them share.
+        # neither the world nor the trace reads; normalising it away lets
+        # them share both.
         self._world_key = replace(config.world, payload_refresh_every=1)
+        tape = memo.tapes.get(self._world_key)
+        if tape is None:
+            tape = memo.tapes[self._world_key] = WorldTape(self._world_key)
+        self.state = ChurnCohortState(config, tape)
+        self._site_key = churn_stream_keys(config.world.seed)[SITE_STREAM]
+        self._traces = memo.traces
 
     def _context_stats(
         self, traces: EpochTraces, step: int, client: int, slot: int,
@@ -543,7 +589,7 @@ class ChurnCohortEngine:
         for site_index, fps in enumerate(chain_fps):
             if len(fps) != 1:
                 raise SimulationError(
-                    f"step {step}: site {state.world.sites[site_index].hostname}"
+                    f"step {step}: site {state.sites[site_index].hostname}"
                     f" serves {len(fps)} intermediates; the churn engine needs"
                     " exactly one"
                 )
@@ -632,14 +678,14 @@ class ChurnCohortEngine:
             for step in range(self.config.world.steps):
                 steps.append(self.run_epoch(step))
         return ChurnCohortResult(
-            config=self.config, steps=steps, events=self.state.world.events
+            config=self.config, steps=steps, events=self.state.events
         )
 
 
 def run_churn_cohort(
     config: ChurnCohortConfig = ChurnCohortConfig(),
-    traces: Optional[TraceMemo] = None,
+    memo: Optional[ChurnMemo] = None,
 ) -> ChurnCohortResult:
     """Run the churn cohort protocol on the columnar engine (one call =
-    one pure function of ``config``; ``traces`` only shares work)."""
-    return ChurnCohortEngine(config, traces).run()
+    one pure function of ``config``; ``memo`` only shares work)."""
+    return ChurnCohortEngine(config, memo).run()

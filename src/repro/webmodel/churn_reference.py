@@ -2,8 +2,8 @@
 
 This runner executes the *same* protocol as
 :mod:`repro.webmodel.churn_columnar` — same :class:`ChurnCohortState`
-(world, canonical cache, generation captures, epoch maintenance, pooled
-learning), same counter-based site draws, same per-cell handshake seeds —
+(world tape, canonical cache, generation captures, epoch maintenance,
+pooled learning), same counter-based site draws, same per-cell handshake seeds —
 but resolves every single cell through the untouched per-handshake TLS
 machine, one :func:`~repro.tls.session.run_handshake` at a time, with no
 representative broadcasting, no bulk probes and no artifact-cache fast
@@ -26,8 +26,6 @@ row and the columnar block must yield identical draws by construction.
 from __future__ import annotations
 
 from typing import Set
-
-import numpy as np
 
 from repro import obs
 from repro.webmodel.churn import StepMetrics, record_churn_step
@@ -79,7 +77,7 @@ def _reference_epoch(
             failures += fail
             suppressed += sup
             wire_bytes += wire
-            chain = state.world.sites[site_index].credential.chain
+            chain = state.sites[site_index].credential.chain
             encountered += chain.num_icas
             if stale[generation]:
                 stale_advertised += 1
@@ -124,5 +122,5 @@ def run_churn_cohort_reference(
         for step in range(config.world.steps):
             steps.append(_reference_epoch(state, site_key, step))
     return ChurnCohortResult(
-        config=config, steps=steps, events=state.world.events
+        config=config, steps=steps, events=state.events
     )

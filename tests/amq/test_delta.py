@@ -461,6 +461,48 @@ class TestPublisher:
         assert reg.counter("amq.delta.full_messages") == 1
 
 
+class TestSnapshotFallbackReasons:
+    """Every snapshot answer of ``update_since`` names why no patch went
+    out, next to the unchanged ``amq.delta.full_messages`` count."""
+
+    @staticmethod
+    def _reasons(pub):
+        with obs.scoped() as reg:
+            update = pub.update_since(0)
+        reasons = reg.counters_with_name("amq.delta.snapshot_fallbacks")
+        if isinstance(deserialize_delta(update), FilterSnapshot):
+            assert reg.counter("amq.delta.full_messages") == 1
+        return reasons
+
+    def test_patch_answer_counts_no_fallback(self):
+        pub = DeltaPublisher("bloom", _UNIVERSE[:100], seed=7)
+        pub.publish(list(pub.items) + [_UNIVERSE[100]])
+        assert self._reasons(pub) == {}
+
+    def test_patch_larger(self):
+        # Full turnover of a tiny filter: the patch encodes but loses.
+        pub = DeltaPublisher("bloom", _UNIVERSE[:2], fpp=1e-2, seed=7)
+        pub.publish(_UNIVERSE[64:72])
+        assert self._reasons(pub) == {(("reason", "patch_larger"),): 1}
+
+    def test_base_too_wide(self):
+        # 65,537 base items: removals past index 65,535 have no uint16.
+        # (A loose fpp keeps the grow-only head image under the wire cap.)
+        wide = [_item(i) for i in range(0x10001)]
+        pub = DeltaPublisher("bloom", wide, fpp=0.5, seed=7)
+        pub.publish(wide[:2])
+        assert self._reasons(pub) == {(("reason", "base_too_wide"),): 1}
+
+    def test_unpatchable(self):
+        # 256-byte items overflow the patch's one-byte item length.
+        items = [bytes([i]) * 256 for i in range(3)]
+        pub = DeltaPublisher("bloom", items[:2], seed=7)
+        pub.publish(items)
+        with pytest.raises(FilterSerializationError, match="item length"):
+            pub.patch_message(0)
+        assert self._reasons(pub) == {(("reason", "unpatchable"),): 1}
+
+
 class TestApplier:
     def _pair(self, name="counting-bloom", count=6, **kw):
         items = _UNIVERSE[:count]

@@ -17,7 +17,7 @@ from repro.experiments.churn import (
     format_churn,
     run_churn_experiment,
 )
-from repro.webmodel import churn_columnar
+from repro.webmodel import churn, churn_columnar
 from repro.webmodel.churn import ChurnConfig
 
 _SMALL = ChurnExperimentConfig(
@@ -144,12 +144,34 @@ class TestTraceMemo:
         assert len(set(handshake_keys)) == len(handshake_keys)
         assert len(handshake_keys) < len(payload_contexts)
 
+    def test_one_world_per_trial(self, monkeypatch):
+        """The levels of a trial replay one world tape: a serial sweep
+        builds one ChurnWorld per trial and advances it once per step,
+        not once per (level, trial) cell."""
+        real_init, real_advance = churn.ChurnWorld.__init__, churn.ChurnWorld.advance
+        builds, advances = [], []
+
+        def counting_init(world, config):
+            builds.append(config.seed)
+            real_init(world, config)
+
+        def counting_advance(world, step):
+            advances.append(step)
+            return real_advance(world, step)
+
+        monkeypatch.setattr(churn.ChurnWorld, "__init__", counting_init)
+        monkeypatch.setattr(churn.ChurnWorld, "advance", counting_advance)
+        run_churn_experiment(_SMALL, jobs=1)
+        assert len(builds) == _SMALL.trials
+        assert len(set(builds)) == _SMALL.trials
+        assert len(advances) == _SMALL.trials * _SMALL.base.steps
+
     def test_next_trial_starts_an_empty_memo(self):
         memo = _TrialTraces()
         first = memo.of(0)
-        first[("epoch",)] = {}
+        first.traces[("epoch",)] = {}
         assert memo.of(0) is first
-        assert memo.of(1) == {}
+        assert memo.of(1) == churn_columnar.ChurnMemo()
         assert memo.of(1) is not first
 
     @pytest.mark.parametrize("trials", [1, 3])

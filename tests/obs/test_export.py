@@ -26,6 +26,9 @@ def sample_snapshot():
     reg.inc("webmodel.churn.icas_revoked", 9)
     reg.inc("webmodel.churn.stale_retries", 4)
     reg.inc("webmodel.churn.fallbacks", 1)
+    reg.inc("amq.delta.full_messages", 6)
+    reg.inc("amq.delta.snapshot_fallbacks", 5, (("reason", "patch_larger"),))
+    reg.inc("amq.delta.snapshot_fallbacks", 1, (("reason", "base_too_wide"),))
     reg.inc("webmodel.cohort.users", 40)
     reg.inc("webmodel.cohort.handshakes", 228)
     reg.inc("webmodel.cohort.session_reuse", 12)
@@ -87,6 +90,14 @@ class TestPrometheusExport:
         assert "tls_server_flight_seconds_count 2" in text
         assert "tls_server_flight_seconds_sum 2.0" in text
 
+    def test_labelled_delta_fallback_rendering(self, sample_snapshot):
+        text = to_prometheus_text(sample_snapshot)
+        assert "amq_delta_full_messages_total 6" in text
+        assert (
+            'amq_delta_snapshot_fallbacks_total{reason="patch_larger"} 5'
+            in text
+        )
+
     def test_label_value_escaping(self):
         reg = MetricsRegistry()
         reg.inc("c", 1, (("k", 'a"b\\c\nd'),))
@@ -117,6 +128,16 @@ class TestDeterministicCounters:
         assert flat["webmodel.churn.steps{}"] == 24
         assert flat["webmodel.churn.handshakes{}"] == 192
         assert flat["webmodel.churn.stale_retries{}"] == 4
+
+    def test_delta_fallback_reasons_are_deterministic_series(
+        self, sample_snapshot
+    ):
+        # The delta-smoke CI job compares these across --jobs values; the
+        # reasons split full_messages, which keeps its own unlabelled row.
+        flat = deterministic_counters(sample_snapshot)
+        assert flat["amq.delta.full_messages{}"] == 6
+        assert flat["amq.delta.snapshot_fallbacks{reason=patch_larger}"] == 5
+        assert flat["amq.delta.snapshot_fallbacks{reason=base_too_wide}"] == 1
 
     def test_cohort_counters_are_deterministic_series(self, sample_snapshot):
         # The cohort-smoke CI job compares these across engines and

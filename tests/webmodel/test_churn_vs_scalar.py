@@ -363,23 +363,26 @@ def test_payloads_of_one_length_and_hit_share_a_trace():
     assert length_pairs > 0
 
 
-def test_multi_intermediate_chain_is_a_typed_error(monkeypatch):
+def test_multi_intermediate_chain_is_a_typed_error():
     """One ICA per served chain is what the bulk probe and the trace
     memo key read; a site serving two must raise, not be keyed on its
     first intermediate."""
     engine = churn_columnar.ChurnCohortEngine(_config(num_clients=4, steps=2))
-    site = engine.state.world.sites[0]
+    tape = engine.state.tape
+    frame = tape.frame(0)
+    site = frame.sites[0]
     chain = site.credential.chain
-    other = engine.state.world.sites[1].credential.chain.intermediates[0]
-    monkeypatch.setattr(
-        site,
-        "credential",
-        dataclasses.replace(
+    other = frame.sites[1].credential.chain.intermediates[0]
+    doubled = site._replace(
+        credential=dataclasses.replace(
             site.credential,
             chain=dataclasses.replace(
                 chain, intermediates=chain.intermediates + (other,)
             ),
-        ),
+        )
+    )
+    tape.frames[0] = dataclasses.replace(
+        frame, sites=(doubled,) + frame.sites[1:]
     )
     with pytest.raises(SimulationError, match=f"{site.hostname} serves 2"):
         engine.run_epoch(0)
