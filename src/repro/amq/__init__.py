@@ -26,6 +26,8 @@ from repro.amq.serialization import (
     filter_class_for_name,
     canonical_params,
     FILTER_REGISTRY,
+    size_bytes_for,
+    max_capacity_within,
 )
 from repro.amq.delta import (
     DeltaApplier,
@@ -37,15 +39,7 @@ from repro.amq.delta import (
     deserialize_delta,
     serialize_delta,
 )
-from repro.amq.sizing import (
-    bloom_size_bits,
-    cuckoo_size_bits,
-    vacuum_size_bits,
-    quotient_size_bits,
-    fingerprint_bits_for_fpp,
-    size_bytes_for,
-    max_capacity_within,
-)
+from repro.amq.sizing import fingerprint_bits_for_fpp
 
 __all__ = [
     "AMQFilter",
@@ -71,10 +65,6 @@ __all__ = [
     "delta_seed",
     "deserialize_delta",
     "serialize_delta",
-    "bloom_size_bits",
-    "cuckoo_size_bits",
-    "vacuum_size_bits",
-    "quotient_size_bits",
     "fingerprint_bits_for_fpp",
     "size_bytes_for",
     "max_capacity_within",

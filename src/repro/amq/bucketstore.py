@@ -63,10 +63,9 @@ from repro.amq.hashing import (
     hash64_multi_np,
     hash_int,
 )
-from repro.amq.sizing import fingerprint_bits_for_fpp
+from repro.amq.sizing import DEFAULT_BUCKET_SIZE, fingerprint_bits_for_fpp
 from repro.errors import FilterFullError, FilterSerializationError
 
-DEFAULT_BUCKET_SIZE = 4
 DEFAULT_MAX_KICKS = 500
 
 #: Upper bound on the vectorized-placement chunk; chunks much larger

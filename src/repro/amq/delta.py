@@ -92,7 +92,6 @@ from repro.amq.serialization import (
     filter_type_id,
     quantize_fpp,
     quantize_load_factor,
-    serialize_filter,
 )
 from repro.errors import (
     ConfigurationError,
@@ -614,11 +613,11 @@ class DeltaPublisher:
 
 
 class DeltaApplier:
-    """Client side: a versioned filter plus the ordered item list behind
-    it, advanced by ``repro.delta/v1`` messages.
+    """Client side: a versioned filter image plus the ordered item list
+    behind it, advanced by ``repro.delta/v1`` messages.
 
     Every update is all-or-nothing: validation happens before the
-    rebuild, and the new filter replaces the old one only once it is
+    rebuild, and the new image replaces the old one only once it is
     built — a malformed or overflowing patch raises
     :class:`~repro.errors.FilterSerializationError` and leaves version,
     items and image unchanged.
@@ -646,20 +645,13 @@ class DeltaApplier:
             capacity if capacity is not None else max(1, len(self._items))
         )
         self._version = 0
-        image, self._filter = self._build(self._capacity, 0, self._items)
-        self._image: Optional[bytes] = image
+        self._image = self._build(self._capacity, 0, self._items)
 
-    def _build(
-        self, capacity: int, version: int, items: Sequence[bytes]
-    ) -> Tuple[bytes, AMQFilter]:
+    def _build(self, capacity: int, version: int, items: Sequence[bytes]) -> bytes:
         """The canonical wire image of ``version`` (:func:`build_filter_at`'s
-        build) and a live filter rehydrated from it, so :meth:`image`
-        returns those bytes without serializing the filter again."""
+        build)."""
         params = params_at(capacity, self.fpp, self.load_factor, self.seed, version)
-        image = build_image(self.filter_kind, params, items)
-        filt = deserialize_filter(image)
-        filt.attach_source_items(list(items))
-        return image, filt
+        return build_image(self.filter_kind, params, items)
 
     @property
     def version(self) -> int:
@@ -669,14 +661,8 @@ class DeltaApplier:
     def items(self) -> Tuple[bytes, ...]:
         return tuple(self._items)
 
-    @property
-    def filter(self) -> AMQFilter:
-        return self._filter
-
     def image(self) -> bytes:
-        """Current advertised wire image (memoized between updates)."""
-        if self._image is None:
-            self._image = serialize_filter(self._filter)
+        """Current advertised wire image."""
         return self._image
 
     # -- validation ----------------------------------------------------------
@@ -767,8 +753,7 @@ class DeltaApplier:
                 "a snapshot resync needs the ordered item list "
                 "(snapshot_items)"
             )
-        filt = deserialize_filter(snapshot.image)
-        params = filt.params
+        params = deserialize_filter(snapshot.image).params
         expected_seed = delta_seed(self.seed, snapshot.version)
         if (
             params.seed != expected_seed
@@ -780,27 +765,23 @@ class DeltaApplier:
                 "snapshot image parameters do not match the applier's "
                 "derivation for its version"
             )
-        items = list(_canonical_items(snapshot_items))
-        filt.attach_source_items(items)
-        self._items = items
+        self._items = list(_canonical_items(snapshot_items))
         self._capacity = params.capacity
         self._version = snapshot.version
-        self._filter = filt
-        self._image = None
+        self._image = snapshot.image
         obs.inc("amq.delta.resyncs")
 
     def _apply_patch(self, patch: FilterDelta) -> None:
         self._check_patch(patch)
         new_items = apply_diff(self._items, patch.removed_indices, patch.added)
         try:
-            image, filt = self._build(patch.capacity, patch.to_version, new_items)
+            image = self._build(patch.capacity, patch.to_version, new_items)
         except FilterFullError as exc:
             raise FilterSerializationError(
                 f"patch overflows the filter's capacity {patch.capacity}: "
                 f"{exc}"
             ) from exc
         self._image = image
-        self._filter = filt
         self._items = new_items
         self._capacity = patch.capacity
         self._version = patch.to_version

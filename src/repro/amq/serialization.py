@@ -77,6 +77,55 @@ def filter_class_for_name(name: str) -> Type[AMQFilter]:
         ) from None
 
 
+def size_bytes_for(
+    kind: str, capacity: int, fpp: float, load_factor: float = 0.95
+) -> int:
+    """Payload bytes of a ``kind`` filter built with these params.
+
+    This is the family's own
+    :meth:`~repro.amq.base.AMQFilter.expected_payload_bytes` — the size
+    :func:`deserialize_filter` checks untrusted headers against — so the
+    §5.2 planner, the Fig. 3/4 sweeps and the wire share one size model.
+    The params are used as given; callers planning for the wire pass
+    :func:`canonical_params` values.
+    """
+    try:
+        cls = _NAME_TO_CLS[kind]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown filter kind {kind!r}; expected one of {sorted(_NAME_TO_CLS)}"
+        ) from None
+    return cls.expected_payload_bytes(
+        FilterParams(capacity=capacity, fpp=fpp, load_factor=load_factor)
+    )
+
+
+def max_capacity_within(
+    kind: str, budget_bytes: int, fpp: float, load_factor: float = 0.95
+) -> int:
+    """Largest capacity whose payload fits in ``budget_bytes``.
+
+    This answers the paper's §5.2 planning question: how many ICAs fit in
+    the ~550 bytes left in a PQ ClientHello? Returns 0 when even a single
+    item does not fit.
+    """
+    if budget_bytes < 1:
+        return 0
+    if size_bytes_for(kind, 1, fpp, load_factor) > budget_bytes:
+        return 0
+    lo, hi = 1, 2
+    while size_bytes_for(kind, hi, fpp, load_factor) <= budget_bytes:
+        lo = hi
+        hi *= 2
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        if size_bytes_for(kind, mid, fpp, load_factor) <= budget_bytes:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def quantize_fpp(fpp: float) -> int:
     """Encode fpp as a 16-bit exponent: fpp = 2**(-e/256)."""
     e = round(-math.log2(fpp) * 256)

@@ -1,11 +1,11 @@
-"""Analytic size/FPP geometry for every filter type.
+"""Table geometry shared by the filter implementations.
 
-These closed-form models drive the feasibility study of Section 5.2:
-filter size versus load factor (Fig. 3-left), versus capacity
-(Fig. 3-right) and versus target false-positive probability (Fig. 4).
-They are also the single source of table geometry for the concrete filter
-implementations, so analytic predictions and measured ``size_in_bytes()``
-agree exactly.
+Fingerprint/remainder widths and bucket/slot counts derived from
+(capacity, fpp, load factor). The backends build their tables from
+these, and each family's ``expected_payload_bytes`` turns them into the
+one wire size that the §5.2 planner, the Fig. 3/4 sweeps and the
+deserializer's header check all read
+(:func:`repro.amq.serialization.size_bytes_for`).
 """
 
 from __future__ import annotations
@@ -44,11 +44,6 @@ def remainder_bits_for_fpp(fpp: float) -> int:
     if not 0.0 < fpp < 1.0:
         raise ConfigurationError(f"fpp must be in (0, 1), got {fpp}")
     return max(2, min(32, math.ceil(-math.log2(fpp))))
-
-
-# ---------------------------------------------------------------------------
-# Geometry helpers shared with the implementations
-# ---------------------------------------------------------------------------
 
 
 def cuckoo_geometry(
@@ -104,126 +99,3 @@ def quotient_geometry(capacity: int, load_factor: float) -> int:
     """Number of slots for a quotient filter (power of two, >= 8 so the
     metadata bitmaps pack to whole bytes)."""
     return next_power_of_two(max(8, math.ceil(capacity / load_factor)))
-
-
-# ---------------------------------------------------------------------------
-# Analytic sizes (bits)
-# ---------------------------------------------------------------------------
-
-
-def bloom_size_bits(capacity: int, fpp: float) -> int:
-    """Space-optimal Bloom filter size: ``m = -n ln(eps) / ln(2)^2``."""
-    return math.ceil(-capacity * math.log(fpp) / (math.log(2) ** 2))
-
-
-def _bucket_table_bits(
-    buckets: int, fp_bits: int, bucket_size: int, semi_sort: bool
-) -> int:
-    if semi_sort and bucket_size == 4 and fp_bits >= 5:
-        # Semi-sorting (Fan et al. §5.2): 12-bit nibble-multiset index plus
-        # four (f-4)-bit high parts = 4f - 4 bits per bucket.
-        return buckets * (4 * fp_bits - 4)
-    return buckets * bucket_size * fp_bits
-
-
-def cuckoo_size_bits(
-    capacity: int,
-    fpp: float,
-    load_factor: float = 0.95,
-    bucket_size: int = DEFAULT_BUCKET_SIZE,
-    semi_sort: bool = True,
-) -> int:
-    buckets = cuckoo_geometry(capacity, load_factor, bucket_size)
-    fp_bits = fingerprint_bits_for_fpp(fpp, bucket_size)
-    return _bucket_table_bits(buckets, fp_bits, bucket_size, semi_sort)
-
-
-def vacuum_size_bits(
-    capacity: int,
-    fpp: float,
-    load_factor: float = 0.95,
-    bucket_size: int = DEFAULT_BUCKET_SIZE,
-    semi_sort: bool = True,
-) -> int:
-    buckets, _ = vacuum_geometry(capacity, load_factor, bucket_size)
-    fp_bits = fingerprint_bits_for_fpp(fpp, bucket_size)
-    return _bucket_table_bits(buckets, fp_bits, bucket_size, semi_sort)
-
-
-def quotient_size_bits(capacity: int, fpp: float, load_factor: float = 0.95) -> int:
-    slots = quotient_geometry(capacity, load_factor)
-    return slots * (remainder_bits_for_fpp(fpp) + 3)
-
-
-def xor_size_bits(capacity: int, fpp: float) -> int:
-    """XOR filter: ~1.23 slots/item at exactly 2^-f FPP (static)."""
-    slots = int(1.23 * max(1, capacity)) + 32
-    slots += (-slots) % 3
-    f = max(2, min(32, math.ceil(-math.log2(fpp))))
-    return slots * f
-
-
-def counting_bloom_size_bits(capacity: int, fpp: float) -> int:
-    """Counting Bloom filter: 4-bit counters instead of bits (4x)."""
-    return 4 * bloom_size_bits(capacity, fpp)
-
-
-_SIZE_MODELS = {
-    "bloom": lambda n, fpp, lf, b: bloom_size_bits(n, fpp),
-    "counting-bloom": lambda n, fpp, lf, b: counting_bloom_size_bits(n, fpp),
-    "cuckoo": cuckoo_size_bits,
-    "vacuum": vacuum_size_bits,
-    "quotient": lambda n, fpp, lf, b: quotient_size_bits(n, fpp, lf),
-    "xor": lambda n, fpp, lf, b: xor_size_bits(n, fpp),
-}
-
-
-def size_bytes_for(
-    kind: str,
-    capacity: int,
-    fpp: float,
-    load_factor: float = 0.95,
-    bucket_size: int = DEFAULT_BUCKET_SIZE,
-) -> int:
-    """Analytic wire size in bytes of a ``kind`` filter."""
-    try:
-        model = _SIZE_MODELS[kind]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown filter kind {kind!r}; expected one of {sorted(_SIZE_MODELS)}"
-        ) from None
-    if kind in ("cuckoo", "vacuum"):
-        bits = model(capacity, fpp, load_factor, bucket_size)
-    else:
-        bits = model(capacity, fpp, load_factor, bucket_size)
-    return (bits + 7) // 8
-
-
-def max_capacity_within(
-    kind: str,
-    budget_bytes: int,
-    fpp: float,
-    load_factor: float = 0.95,
-    bucket_size: int = DEFAULT_BUCKET_SIZE,
-) -> int:
-    """Largest capacity whose analytic size fits in ``budget_bytes``.
-
-    This answers the paper's §5.2 planning question: how many ICAs fit in
-    the ~550 bytes left in a PQ ClientHello? Returns 0 when even a single
-    item does not fit.
-    """
-    if budget_bytes < 1:
-        return 0
-    if size_bytes_for(kind, 1, fpp, load_factor, bucket_size) > budget_bytes:
-        return 0
-    lo, hi = 1, 2
-    while size_bytes_for(kind, hi, fpp, load_factor, bucket_size) <= budget_bytes:
-        lo = hi
-        hi *= 2
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if size_bytes_for(kind, mid, fpp, load_factor, bucket_size) <= budget_bytes:
-            lo = mid
-        else:
-            hi = mid
-    return lo

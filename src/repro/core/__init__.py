@@ -29,7 +29,6 @@ from repro.core.filter_config import (
 from repro.core.extension import (
     build_extension_payload,
     parse_extension_payload,
-    extension_payload_bytes,
 )
 from repro.core.manager import FilterManager
 from repro.core.suppression import ClientSuppressor, ServerSuppressor
@@ -49,7 +48,6 @@ __all__ = [
     "DEFAULT_FILTER_BUDGET_BYTES",
     "build_extension_payload",
     "parse_extension_payload",
-    "extension_payload_bytes",
     "FilterManager",
     "ClientSuppressor",
     "ServerSuppressor",

@@ -11,7 +11,9 @@ these helpers.
 from __future__ import annotations
 
 from repro.amq import AMQFilter, deserialize_filter, serialize_filter
-from repro.errors import FilterSerializationError
+
+#: TLS extension framing around the payload: 2-byte type + 2-byte length.
+EXTENSION_FRAMING_BYTES = 4
 
 
 def build_extension_payload(filt: AMQFilter) -> bytes:
@@ -24,8 +26,3 @@ def parse_extension_payload(payload: bytes) -> AMQFilter:
     on any malformed input (the server then ignores the extension, which
     is the safe failure mode — a normal unsuppressed handshake)."""
     return deserialize_filter(payload)
-
-
-def extension_payload_bytes(filt: AMQFilter) -> int:
-    """Extension body size for budget accounting."""
-    return len(serialize_filter(filt))

@@ -21,6 +21,7 @@ from repro.amq import (
     size_bytes_for,
 )
 from repro.amq.serialization import build_filter, serialized_overhead_bytes
+from repro.core.extension import EXTENSION_FRAMING_BYTES
 from repro.errors import ConfigurationError
 from repro.pki.algorithms import get_kem_algorithm
 
@@ -32,9 +33,6 @@ DEFAULT_FILTER_BUDGET_BYTES = 550
 #: the filter extension. Kept as a constant so planning needs no TLS
 #: round trip; asserted against the real encoder in the test suite.
 _CLIENTHELLO_BASE_WITHOUT_KEY_AND_NAME = 153
-
-#: TLS extension framing for the filter payload (type + length).
-_EXTENSION_FRAMING_BYTES = 4
 
 
 def clienthello_base_bytes(kem_name: str, hostname: str = "example.com") -> int:
@@ -76,7 +74,7 @@ class FilterPlan:
         return (
             self.predicted_payload_bytes
             + serialized_overhead_bytes()
-            + _EXTENSION_FRAMING_BYTES
+            + EXTENSION_FRAMING_BYTES
         )
 
     def build(self, items: Iterable[bytes] = ()) -> AMQFilter:

@@ -19,6 +19,7 @@ from typing import List, Optional, Sequence
 
 from repro.analysis.tables import format_table
 from repro.core.baselines import CTLSClient, CTLSDictionary, PeerCacheFlags
+from repro.core.extension import EXTENSION_FRAMING_BYTES
 from repro.core.suppression import ClientSuppressor
 from repro.pki.store import IntermediatePreload
 from repro.webmodel.browsing import BrowsingConfig, BrowsingModel
@@ -64,7 +65,7 @@ def compare_designs(
         budget_bytes=None, seed=seed,
     )
     filt = suppressor.filter
-    filter_wire = len(suppressor.extension_payload()) + 4
+    filter_wire = len(suppressor.extension_payload()) + EXTENSION_FRAMING_BYTES
     filter_suppressed = filter_total = 0
     for rank in contacts:
         chain = population.chain_for_rank(rank)

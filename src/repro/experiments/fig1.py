@@ -15,13 +15,9 @@ from repro.analysis.tables import format_table
 from repro.netsim.tcp import TCPConfig, flights_needed
 from repro.tls.messages import split_handshake_stream
 from repro.tls.record import wire_size
-from repro.webmodel.flight_probe import micro_credential
-from repro.pki.keys import KeyPair
-from repro.pki.algorithms import get_signature_algorithm
-from repro.pki.ocsp import OCSPStaple
-from repro.pki.sct import SignedCertificateTimestamp
-from repro.tls.client import ClientConfig, TLSClient
-from repro.tls.server import ServerConfig, TLSServer
+from repro.webmodel.flight_probe import probe_configs
+from repro.tls.client import TLSClient
+from repro.tls.server import TLSServer
 
 _NAMES = {
     1: "ClientHello",
@@ -63,24 +59,9 @@ def trace_handshake(
     tcp: TCPConfig = TCPConfig(),
 ) -> HandshakeFlow:
     """Run one handshake and record every message with its size."""
-    credential, store = micro_credential(algorithm, num_icas)
-    responder = KeyPair(get_signature_algorithm(algorithm), 0xE5D)
-    ocsp = None
-    scts: List[SignedCertificateTimestamp] = []
-    if staples:
-        ocsp = OCSPStaple.create(credential.chain.leaf, responder, produced_at=1)
-        scts = [
-            SignedCertificateTimestamp.create(
-                credential.chain.leaf, responder, bytes([i]) * 32, 7
-            )
-            for i in (1, 2)
-        ]
-    client = TLSClient(
-        ClientConfig(store, kem_name=kem, hostname="flight-probe.example", at_time=10)
-    )
-    server = TLSServer(
-        ServerConfig(credential=credential, ocsp_staple=ocsp, scts=scts)
-    )
+    client_config, server_config = probe_configs(algorithm, kem, num_icas, staples)
+    client = TLSClient(client_config)
+    server = TLSServer(server_config)
     hello = client.create_client_hello()
     flight = server.process_client_hello(hello)
     result = client.process_server_flight(flight.flight)

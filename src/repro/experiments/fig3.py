@@ -17,7 +17,12 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.amq import FilterParams, canonical_params, max_capacity_within
+from repro.amq import (
+    FilterParams,
+    canonical_params,
+    max_capacity_within,
+    size_bytes_for,
+)
 from repro.amq.serialization import filter_class_for_name
 from repro.analysis.tables import format_table
 from repro.core.filter_config import DEFAULT_FILTER_BUDGET_BYTES
@@ -26,6 +31,15 @@ PAPER_CAPACITY = 245
 PAPER_FPP = 1e-3
 PAPER_LOAD_FACTOR = 0.9
 DYNAMIC_KINDS = ("cuckoo", "vacuum", "quotient")
+
+
+def _payload_bytes(kind: str, capacity: int, fpp: float, load_factor: float) -> int:
+    """Wire payload bytes of the plotted configuration, through the wire
+    quantizers — the number the planner and the deserializer use."""
+    params = canonical_params(
+        FilterParams(capacity=capacity, fpp=fpp, load_factor=load_factor)
+    )
+    return size_bytes_for(kind, capacity, params.fpp, params.load_factor)
 
 
 # ---------------------------------------------------------------------------
@@ -40,17 +54,10 @@ def load_factor_sweep(
     fpp: float = PAPER_FPP,
 ) -> Dict[str, List[Tuple[float, int]]]:
     """{kind: [(load_factor, size_bytes), ...]}."""
-    out: Dict[str, List[Tuple[float, int]]] = {}
-    for kind in kinds:
-        cls = filter_class_for_name(kind)
-        series = []
-        for lf in load_factors:
-            params = canonical_params(
-                FilterParams(capacity=capacity, fpp=fpp, load_factor=lf)
-            )
-            series.append((lf, cls(params).size_in_bytes()))
-        out[kind] = series
-    return out
+    return {
+        kind: [(lf, _payload_bytes(kind, capacity, fpp, lf)) for lf in load_factors]
+        for kind in kinds
+    }
 
 
 def format_load_factor_sweep(sweep: Dict[str, List[Tuple[float, int]]]) -> str:
@@ -288,17 +295,10 @@ def capacity_sweep(
     load_factor: float = PAPER_LOAD_FACTOR,
 ) -> Dict[str, List[Tuple[int, int]]]:
     """{kind: [(capacity, size_bytes), ...]}."""
-    out: Dict[str, List[Tuple[int, int]]] = {}
-    for kind in kinds:
-        cls = filter_class_for_name(kind)
-        series = []
-        for capacity in capacities:
-            params = canonical_params(
-                FilterParams(capacity=capacity, fpp=fpp, load_factor=load_factor)
-            )
-            series.append((capacity, cls(params).size_in_bytes()))
-        out[kind] = series
-    return out
+    return {
+        kind: [(n, _payload_bytes(kind, n, fpp, load_factor)) for n in capacities]
+        for kind in kinds
+    }
 
 
 def budget_capacities(

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from repro.amq import FilterParams, canonical_params
-from repro.amq.serialization import filter_class_for_name, serialized_overhead_bytes
+from repro.amq import FilterParams, canonical_params, size_bytes_for
+from repro.amq.serialization import serialized_overhead_bytes
 from repro.analysis.tables import format_table
+from repro.core.extension import EXTENSION_FRAMING_BYTES
 
 PAPER_CAPACITY = 245
 PAPER_LOAD_FACTOR = 0.9
-_TLS_EXTENSION_FRAMING = 4
 
 DEFAULT_FPPS = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
 
@@ -29,16 +29,16 @@ def fpp_sweep(
     load_factor: float = PAPER_LOAD_FACTOR,
 ) -> Dict[str, List[Tuple[float, int]]]:
     """{kind: [(fpp, extension_bytes_on_wire), ...]}."""
-    overhead = serialized_overhead_bytes() + _TLS_EXTENSION_FRAMING
+    overhead = serialized_overhead_bytes() + EXTENSION_FRAMING_BYTES
     out: Dict[str, List[Tuple[float, int]]] = {}
     for kind in kinds:
-        cls = filter_class_for_name(kind)
         series = []
         for fpp in fpps:
             params = canonical_params(
                 FilterParams(capacity=capacity, fpp=fpp, load_factor=load_factor)
             )
-            series.append((fpp, cls(params).size_in_bytes() + overhead))
+            size = size_bytes_for(kind, capacity, params.fpp, params.load_factor)
+            series.append((fpp, size + overhead))
         out[kind] = series
     return out
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.analysis.tables import format_table
+from repro.core.extension import EXTENSION_FRAMING_BYTES
 from repro.netsim.quic import QUICConfig, quic_flights_needed
 from repro.netsim.tcp import TCPConfig, flights_needed
 from repro.webmodel.flight_probe import flight_sizes
@@ -56,7 +57,7 @@ def transport_comparison(
     for alg in algorithms:
         ch, full_flight = flight_sizes(alg, kem, num_icas, True)
         _, sup_flight = flight_sizes(alg, kem, 0, True)
-        ch_with_filter = ch + filter_bytes + 4
+        ch_with_filter = ch + filter_bytes + EXTENSION_FRAMING_BYTES
         rows.append(
             TransportRow(
                 algorithm=alg,

@@ -27,12 +27,7 @@ from repro.netsim.quic import (
     quic_flights_needed,
     quic_handshake_duration_s,
 )
-from repro.netsim.latency import (
-    ConstantRTT,
-    EmpiricalRTT,
-    LogNormalRTT,
-    RTTSampler,
-)
+from repro.netsim.latency import ConstantRTT, EmpiricalRTT, LogNormalRTT
 from repro.netsim.metrics import ByteCounter, LatencyCollector, summarize
 
 __all__ = [
@@ -53,7 +48,6 @@ __all__ = [
     "ConstantRTT",
     "EmpiricalRTT",
     "LogNormalRTT",
-    "RTTSampler",
     "ByteCounter",
     "LatencyCollector",
     "summarize",

@@ -10,15 +10,9 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Protocol, Sequence
+from typing import Sequence
 
 from repro.errors import ConfigurationError
-
-
-class RTTSampler(Protocol):
-    """Anything that yields RTT samples in seconds."""
-
-    def sample(self) -> float: ...
 
 
 class ConstantRTT:

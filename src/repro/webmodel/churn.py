@@ -92,10 +92,13 @@ class ChurnConfig:
     #: How refreshed payloads reach clients: ``"full"`` re-ships the
     #: whole framed filter image on every refresh; ``"delta"`` ships
     #: versioned ``repro.delta/v1`` patches (:mod:`repro.amq.delta`)
-    #: against the client's last-applied version. Either way the
-    #: advertised *bytes* are identical — distribution only changes what
-    #: crossed the update channel, metered in
-    #: :attr:`StepMetrics.distribution_bytes`.
+    #: against the client's last-applied version, metered in
+    #: :attr:`StepMetrics.distribution_bytes`. The advertised images
+    #: differ too: full re-plans capacity from each capture's item count
+    #: under the base seed, while delta folds the version into the hash
+    #: seed and grows capacity only when the items overflow the table, so
+    #: payload sizes and false-positive draws (hence ``wire_bytes``) can
+    #: differ between the two.
     distribution: str = "full"
 
 
@@ -201,7 +204,6 @@ class _ICARecord:
     #: (ica certificate, anchoring root certificate), oldest first.
     variants: List[Tuple[Certificate, Certificate]]
     expire_step: int
-    revoked: bool = False
 
     def live_variant(
         self, crl: RevocationList, at_time: int
@@ -345,7 +347,6 @@ class ChurnWorld:
         cert, _ = record.live_variant(self.crl, at_time)
         self.crl.revoke(cert, at_time=at_time)
         self.revocations.append(cert)
-        record.revoked = record.live_variant(self.crl, at_time) is None
         self.events.append((step, "revoke", cert.subject))
         # Sites serving the revoked certificate rotate only after the lag.
         for site in self.sites:

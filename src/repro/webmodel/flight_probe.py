@@ -19,6 +19,7 @@ from repro.pki.keys import KeyPair
 from repro.pki.ocsp import OCSPStaple
 from repro.pki.sct import SignedCertificateTimestamp
 from repro.runtime import artifacts
+from repro.tls.client import ClientConfig
 from repro.tls.server import ServerConfig
 from repro.tls.session import run_handshake
 
@@ -67,39 +68,40 @@ def flight_sizes(
     cached = artifacts.FLIGHT_SIZES.get(key)
     if cached is not None:
         return cached
-    result = _measure_flight_sizes(algorithm_name, kem_name, n_icas, staples)
+    trace = run_handshake(*probe_configs(algorithm_name, kem_name, n_icas, staples))
+    if not trace.succeeded:
+        raise SimulationError(
+            f"flight probe failed: {trace.final_attempt.failure_reason}"
+        )
+    attempt = trace.attempts[0]
+    result = attempt.client_hello_bytes, attempt.server_flight_bytes
     artifacts.FLIGHT_SIZES.put(key, result)
     return result
 
 
-def _measure_flight_sizes(
+def probe_configs(
     algorithm_name: str, kem_name: str, n_icas: int, staples: bool
-) -> Tuple[int, int]:
-    from repro.tls.client import ClientConfig
-
+) -> Tuple[ClientConfig, ServerConfig]:
+    """Client and server configs of the probe handshake: the
+    :func:`micro_credential` chain, plus an OCSP staple and two SCTs when
+    ``staples`` is set."""
     credential, store = micro_credential(algorithm_name, n_icas)
     responder = KeyPair(get_signature_algorithm(algorithm_name), 0xE5D)
-    ocsp = scts = None
-    sct_list: List[SignedCertificateTimestamp] = []
+    ocsp = None
+    scts: List[SignedCertificateTimestamp] = []
     if staples:
         ocsp = OCSPStaple.create(credential.chain.leaf, responder, produced_at=1)
-        sct_list = [
+        scts = [
             SignedCertificateTimestamp.create(
                 credential.chain.leaf, responder, bytes([i]) * 32, 7
             )
             for i in (1, 2)
         ]
-    server = ServerConfig(credential=credential, ocsp_staple=ocsp, scts=sct_list)
+    server = ServerConfig(credential=credential, ocsp_staple=ocsp, scts=scts)
     client = ClientConfig(
         trust_store=store,
         kem_name=kem_name,
         hostname="flight-probe.example",
         at_time=10,
     )
-    trace = run_handshake(client, server)
-    if not trace.succeeded:
-        raise SimulationError(
-            f"flight probe failed: {trace.final_attempt.failure_reason}"
-        )
-    attempt = trace.attempts[0]
-    return attempt.client_hello_bytes, attempt.server_flight_bytes
+    return client, server

@@ -33,6 +33,7 @@ import numpy as np
 
 from repro import obs
 from repro.core.estimator import crypto_cpu_seconds
+from repro.core.extension import EXTENSION_FRAMING_BYTES
 from repro.core.suppression import ClientSuppressor
 from repro.errors import ConfigurationError
 from repro.netsim.latency import LogNormalRTT
@@ -177,7 +178,7 @@ class SessionResult:
                 self.config.include_staples,
             )
             if suppressed:
-                ch += self.filter_payload_bytes + 4  # extension framing
+                ch += self.filter_payload_bytes + EXTENSION_FRAMING_BYTES
             ttfb = time_to_first_byte_s(ch, flight, outcome.rtt_s, tcp, cpu)
             if suppressed:
                 ttfb += self.filter_lookup_seconds

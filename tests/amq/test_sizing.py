@@ -1,23 +1,23 @@
-"""Tests for the analytic sizing models (they drive Figs. 3 and 4)."""
+"""Tests for filter geometry and the one size model (it drives Figs. 3
+and 4, the §5.2 planner and the wire header check)."""
 
 import pytest
 
 from repro.amq import (
-    BloomFilter,
-    CuckooFilter,
+    FILTER_REGISTRY,
     FilterParams,
-    QuotientFilter,
     VacuumFilter,
-    bloom_size_bits,
-    cuckoo_size_bits,
+    canonical_params,
     fingerprint_bits_for_fpp,
     max_capacity_within,
-    quotient_size_bits,
     size_bytes_for,
-    vacuum_size_bits,
 )
+from repro.amq.serialization import build_filter
 from repro.amq.sizing import next_power_of_two, remainder_bits_for_fpp
 from repro.errors import ConfigurationError
+from tests.conftest import make_items
+
+FAMILIES = [cls.name for cls in FILTER_REGISTRY.values()]
 
 
 class TestNextPowerOfTwo:
@@ -58,29 +58,25 @@ class TestRemainderBits:
             remainder_bits_for_fpp(1.5)
 
 
-class TestAnalyticSizesMatchImplementations:
-    """The whole point of sizing.py: predictions == measured sizes."""
+class TestSizeIsTheBuiltPayload:
+    """The planner's size is the payload a build actually serializes,
+    header fields inside the payload (counting-bloom's count, xor's
+    construction header) included."""
 
-    def test_bloom(self, paper_params):
-        predicted = (bloom_size_bits(245, paper_params.fpp) + 7) // 8
-        assert BloomFilter(paper_params).size_in_bytes() == predicted
-
-    def test_cuckoo(self, paper_params):
-        bits = cuckoo_size_bits(245, paper_params.fpp, paper_params.load_factor)
-        assert CuckooFilter(paper_params).size_in_bytes() == (bits + 7) // 8
-
-    def test_vacuum(self, paper_params):
-        bits = vacuum_size_bits(245, paper_params.fpp, paper_params.load_factor)
-        assert VacuumFilter(paper_params).size_in_bytes() == (bits + 7) // 8
-
-    def test_quotient(self, paper_params):
-        bits = quotient_size_bits(245, paper_params.fpp, paper_params.load_factor)
-        assert QuotientFilter(paper_params).size_in_bytes() == (bits + 7) // 8
+    @pytest.mark.parametrize("capacity", [1, 50, 245, 330, 1000])
+    @pytest.mark.parametrize("kind", FAMILIES)
+    def test_matches_built_payload(self, kind, capacity, rng):
+        params = canonical_params(
+            FilterParams(capacity=capacity, fpp=1e-3, load_factor=0.9, seed=3)
+        )
+        filt = build_filter(kind, params, make_items(rng, capacity))
+        predicted = size_bytes_for(kind, capacity, params.fpp, params.load_factor)
+        assert predicted == len(filt.to_bytes())
 
 
 class TestSizeBytesFor:
     def test_dispatch(self):
-        for kind in ("bloom", "cuckoo", "vacuum", "quotient"):
+        for kind in FAMILIES:
             assert size_bytes_for(kind, 245, 1e-3, 0.9) > 0
 
     def test_unknown_kind(self):
@@ -88,13 +84,13 @@ class TestSizeBytesFor:
             size_bytes_for("ribbon", 100, 0.01)
 
     def test_size_decreases_with_looser_fpp(self):
-        for kind in ("bloom", "cuckoo", "vacuum", "quotient"):
+        for kind in FAMILIES:
             tight = size_bytes_for(kind, 245, 1e-4, 0.9)
             loose = size_bytes_for(kind, 245, 1e-1, 0.9)
             assert loose < tight, kind
 
     def test_size_grows_with_capacity(self):
-        for kind in ("bloom", "cuckoo", "vacuum", "quotient"):
+        for kind in FAMILIES:
             small = size_bytes_for(kind, 100, 1e-3, 0.9)
             large = size_bytes_for(kind, 1400, 1e-3, 0.9)
             assert large > small, kind
@@ -116,7 +112,7 @@ class TestMaxCapacityWithin:
 
     def test_result_is_tight(self):
         budget = 550
-        for kind in ("bloom", "cuckoo", "vacuum", "quotient"):
+        for kind in FAMILIES:
             cap = max_capacity_within(kind, budget, 1e-3, 0.9)
             assert size_bytes_for(kind, cap, 1e-3, 0.9) <= budget
             assert size_bytes_for(kind, cap + 1, 1e-3, 0.9) > budget or cap >= 1
@@ -128,8 +124,6 @@ class TestMaxCapacityWithin:
         assert max_capacity_within("cuckoo", 1, 1e-6) in (0, 1)
 
     def test_filter_built_at_max_capacity_fits(self, rng):
-        from tests.conftest import make_items
-
         cap = max_capacity_within("vacuum", 550, 1e-3, 0.9)
         params = FilterParams(capacity=cap, fpp=1e-3, load_factor=0.9, seed=2)
         f = VacuumFilter(params)

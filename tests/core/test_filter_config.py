@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.amq import FILTER_REGISTRY, max_capacity_within
+from repro.core.extension import build_extension_payload
 from repro.core.filter_config import (
     DEFAULT_FILTER_BUDGET_BYTES,
     clienthello_base_bytes,
@@ -81,6 +83,35 @@ class TestPlanFilter:
 
         plan = plan_filter(245, budget_bytes=None)
         assert canonical_params(plan.params) == plan.params
+
+    @pytest.mark.parametrize(
+        "kind", [cls.name for cls in FILTER_REGISTRY.values()]
+    )
+    def test_plan_at_budget_capacity_builds_within_budget(self, kind, rng):
+        """§5.2 for every family: the largest plan the planner accepts
+        under 550 bytes builds a payload of at most 550 bytes, and its
+        predicted extension size is what the real ClientHello carries."""
+        from repro.pki import build_hierarchy
+        from tests.conftest import make_items
+
+        capacity = max_capacity_within(kind, 550, 1e-3, 0.9)
+        plan = plan_filter(
+            capacity, filter_kind=kind, fpp=1e-3, load_factor=0.9,
+            budget_bytes=550,
+        )
+        filt = plan.build(make_items(rng, capacity))
+        assert len(filt.to_bytes()) <= 550
+        assert len(filt.to_bytes()) == plan.predicted_payload_bytes
+
+        store = build_hierarchy("ecdsa-p256", total_icas=1, seed=0).trust_store()
+        payload = build_extension_payload(filt)
+        with_filter = TLSClient(
+            ClientConfig(store, kem_name="kyber512", ica_filter_payload=payload)
+        ).create_client_hello()
+        without = TLSClient(
+            ClientConfig(store, kem_name="kyber512")
+        ).create_client_hello()
+        assert plan.predicted_extension_bytes == len(with_filter) - len(without)
 
     def test_extension_bytes_include_framing(self):
         plan = plan_filter(100, filter_kind="vacuum")
