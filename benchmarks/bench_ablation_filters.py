@@ -1,6 +1,6 @@
 """Ablation — AMQ structure choice in the end-to-end pipeline.
 
-Runs the Fig. 5 browsing pipeline with each filter (including the Bloom
+Runs the Fig. 5 cohort with each filter (including the Bloom
 baselines the paper rules out for deployability) over an identical
 workload and compares extension size, reduction and false positives.
 """
@@ -12,8 +12,8 @@ def test_ablation_filter_choice(benchmark, population, scale):
     rows = benchmark.pedantic(
         ablations.filter_choice,
         kwargs={
-            "num_domains": max(30, scale["domains"] // 3),
-            "runs": 1,
+            "users": 1,
+            "draws": scale["draws"] // 3,
             "population": population,
         },
         rounds=1,

@@ -8,7 +8,7 @@ def test_related_work_comparison(benchmark, population, scale):
     rows = benchmark.pedantic(
         compare_designs,
         kwargs={
-            "num_domains": scale["domains"],
+            "draws": scale["draws"],
             "repeat_visits": 2,
             "population": population,
         },

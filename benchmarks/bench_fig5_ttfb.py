@@ -1,22 +1,21 @@
 """Figure 5-right — time to first byte per scenario.
 
 TTFB distributions for RSA-2048 / Dilithium V / SPHINCS+-128f with and
-without ICA suppression, with false positives doubling the TTFB as in the
-paper's method.
+without ICA suppression, one sample per handshake of the Fig. 5 cohort,
+with false positives doubling the TTFB as in the paper's method.
 """
 
 from repro.experiments import fig5
-from repro.webmodel.session_sim import BrowsingSessionSimulator, SessionConfig
+from repro.webmodel.cohort import CohortEngine
 
 
 def test_fig5_right_ttfb(benchmark, population, scale):
-    sim = BrowsingSessionSimulator(
-        SessionConfig(seed=1, num_domains=scale["domains"]),
+    engine = CohortEngine(
+        fig5.fig5_config(users=scale["users"], draws=scale["draws"]),
         population=population,
     )
-    results = sim.run_many(scale["runs"])
     scenarios = benchmark.pedantic(
-        fig5.ttfb_scenarios, args=(results,), rounds=1, iterations=1
+        fig5.ttfb_scenarios, args=(engine,), rounds=1, iterations=1
     )
     print()
     print(fig5.format_ttfb(scenarios))

@@ -3,8 +3,8 @@
 Every benchmark regenerates one paper artifact and prints the same
 rows/series the paper reports (run with ``pytest benchmarks/
 --benchmark-only -s`` to see the tables). Set ``REPRO_FULL=1`` to run the
-experiments at full paper scale (10 runs x 200 domains, 10K-domain
-crawls); the default is a reduced scale that keeps the whole harness
+experiments at full paper scale (10 users x 4,200 destination draws,
+10K-domain crawls); the default is a reduced scale that keeps the whole harness
 under a few minutes.
 
 Fixture *source* is shared with the test suite through

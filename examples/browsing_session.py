@@ -1,45 +1,39 @@
 #!/usr/bin/env python3
-"""A user browsing the web over PQ TLS — the paper's §5.3 scenario.
+"""Users browsing the web over PQ TLS — the paper's §5.3 scenario.
 
-Simulates a user visiting domains from a synthetic Tranco-style ranking
-(Zipf-1.9 visits, Pareto-2.5 pages, third-party content), with one
-ICA-suppressed handshake against every unique destination, then prints
-the Fig. 5 style summary: data saved per algorithm, TTFB impact, false
-positives.
+Simulates a few users, each drawing destinations (first-party domains
+and embedded third-party origins) from a synthetic Tranco-style ranking,
+with one ICA-suppressed handshake against every unique destination, then
+prints the Fig. 5 style summary: data saved per algorithm, TTFB impact,
+false positives.
 
-Run:  python examples/browsing_session.py [num_domains]
+Run:  python examples/browsing_session.py [draws_per_user]
 """
 
 import sys
 
 from repro.experiments import fig5
-from repro.netsim.metrics import summarize
-from repro.webmodel import BrowsingSessionSimulator, SessionConfig
+from repro.webmodel.cohort import CohortEngine
 
-num_domains = int(sys.argv[1]) if len(sys.argv) > 1 else 100
+draws = int(sys.argv[1]) if len(sys.argv) > 1 else 2_000
 
-print(f"simulating a browsing session over {num_domains} domains...\n")
-simulator = BrowsingSessionSimulator(
-    SessionConfig(seed=11, num_domains=num_domains)
-)
-results = simulator.run_many(runs=3)
+print(f"simulating 3 users x {draws} destination draws...\n")
+engine = CohortEngine(fig5.fig5_config(users=3, draws=draws, seed=11))
+result = engine.run()
 
-volume = fig5.data_volume(results)
-print(fig5.format_data_volume(volume))
+print(fig5.format_data_volume(fig5.data_volume(result)))
 
 print()
-print(fig5.format_ttfb(fig5.ttfb_scenarios(results)))
+scenarios = fig5.ttfb_scenarios(engine)
+print(fig5.format_ttfb(scenarios))
 
-result = results[0]
-sphincs_full = summarize(result.ttfb_samples("sphincs-128f", False))
-sphincs_sup = summarize(result.ttfb_samples("sphincs-128f", True))
+sphincs = {s.suppressed: s.summary for s in scenarios if s.algorithm == "sphincs-128f"}
 print(
-    f"\nSPHINCS+-128f p99 TTFB: {1000 * sphincs_full.p99:.0f} ms full vs "
-    f"{1000 * sphincs_sup.p99:.0f} ms suppressed "
-    f"({1000 * (sphincs_full.p99 - sphincs_sup.p99):.0f} ms saved in the tail)"
+    f"\nSPHINCS+-128f p99 TTFB: {1000 * sphincs[False].p99:.0f} ms full vs "
+    f"{1000 * sphincs[True].p99:.0f} ms suppressed "
+    f"({1000 * (sphincs[False].p99 - sphincs[True].p99):.0f} ms saved in the tail)"
 )
 print(
-    f"server-side filter stats: {sum(r.total_icas for r in results)} lookups, "
-    f"{sum(o.suppressed_count for r in results for o in r.outcomes)} "
-    "suppression hits"
+    f"server-side filter stats: {result.stats.icas_encountered} lookups, "
+    f"{result.stats.icas_suppressed_first} suppression hits"
 )

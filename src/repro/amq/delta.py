@@ -74,7 +74,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
@@ -186,11 +186,16 @@ class FilterDelta:
 
 @dataclass(frozen=True)
 class FilterSnapshot:
-    """A full filter image at ``version`` (the resync message)."""
+    """A full filter image at ``version`` (the resync message).
+
+    ``params`` are the image's parameters when a decoder has already
+    parsed it (:func:`deserialize_delta` does), so an applier need not
+    parse the image a second time; they take no part in equality."""
 
     filter_kind: str
     version: int
     image: bytes
+    params: Optional[FilterParams] = field(default=None, compare=False, repr=False)
 
 
 DeltaMessage = Union[FilterDelta, FilterSnapshot]
@@ -330,7 +335,7 @@ def deserialize_delta(data: bytes) -> DeltaMessage:
                 f"decodes as {filt.name!r}"
             )
         return FilterSnapshot(
-            filter_kind=cls.name, version=to_version, image=body
+            filter_kind=cls.name, version=to_version, image=body, params=filt.params
         )
     if kind != _KIND_PATCH:
         raise FilterSerializationError(f"unknown delta message kind {kind}")
@@ -753,7 +758,7 @@ class DeltaApplier:
                 "a snapshot resync needs the ordered item list "
                 "(snapshot_items)"
             )
-        params = deserialize_filter(snapshot.image).params
+        params = snapshot.params or deserialize_filter(snapshot.image).params
         expected_seed = delta_seed(self.seed, snapshot.version)
         if (
             params.seed != expected_seed

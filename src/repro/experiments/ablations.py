@@ -4,23 +4,25 @@
   changes both the PQ penalty and the value of suppression — large
   windows remove the round-trip penalty entirely, at which point the
   initiator should omit the extension.
-* **filter choice**: end-to-end browsing-session reduction, extension
-  size and false positives per AMQ structure (incl. the Bloom baseline
-  that cannot delete).
+* **filter choice**: end-to-end Fig. 5 cohort reduction, extension size
+  and false positives per AMQ structure (incl. the Bloom baseline that
+  cannot delete), one cohort run per structure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.analysis.tables import format_table
 from repro.core.estimator import crypto_cpu_seconds
+from repro.core.extension import parse_extension_payload
+from repro.experiments.fig5 import lookup_seconds, user_rates
 from repro.netsim.tcp import TCPConfig, extra_flights, handshake_duration_s
 from repro.pki.algorithms import get_signature_algorithm
+from repro.webmodel.cohort import CohortConfig, CohortEngine
 from repro.webmodel.flight_probe import flight_sizes
 from repro.webmodel.population import ICAPopulation, PopulationConfig
-from repro.webmodel.session_sim import BrowsingSessionSimulator, SessionConfig
 
 
 # ---------------------------------------------------------------------------
@@ -110,32 +112,39 @@ def filter_choice(
     kinds: Sequence[str] = (
         "bloom", "counting-bloom", "cuckoo", "vacuum", "quotient", "xor"
     ),
-    num_domains: int = 60,
-    runs: int = 2,
+    users: int = 2,
+    draws: int = 1_200,
     seed: int = 3,
     population: Optional[ICAPopulation] = None,
 ) -> List[FilterChoiceRow]:
-    """End-to-end browsing impact per structure (one shared population so
-    the workload is identical across rows)."""
+    """End-to-end Fig. 5 impact per structure: one cohort run per family
+    over one shared population and one draw stream, so the workload is
+    identical across rows."""
     population = population or ICAPopulation(PopulationConfig(seed=seed))
     rows = []
     for kind in kinds:
-        sim = BrowsingSessionSimulator(
-            SessionConfig(
-                num_domains=num_domains, filter_kind=kind, seed=seed
+        engine = CohortEngine(
+            CohortConfig(
+                num_users=users,
+                handshakes_per_user=draws,
+                filter_kind=kind,
+                seed=seed,
+                population=population.config,
             ),
             population=population,
         )
-        results = sim.run_many(runs)
+        result = engine.run()
+        reduction, known = user_rates(result)
+        advertised = parse_extension_payload(engine.payload)
         rows.append(
             FilterChoiceRow(
                 filter_kind=kind,
-                extension_bytes=results[0].filter_payload_bytes,
-                reduction=sum(r.ica_reduction_ratio() for r in results) / runs,
-                known_rate=sum(r.known_ica_rate for r in results) / runs,
-                false_positives=sum(r.false_positives for r in results) / runs,
-                lookup_us=results[0].filter_lookup_seconds * 1e6,
-                effective_fpp=sim.suppressor.filter.effective_fpp(),
+                extension_bytes=result.stats.filter_payload_bytes,
+                reduction=float(reduction.mean()),
+                known_rate=float(known.mean()),
+                false_positives=result.stats.false_positives / users,
+                lookup_us=lookup_seconds(advertised) * 1e6,
+                effective_fpp=advertised.effective_fpp(),
             )
         )
     return rows
@@ -155,7 +164,7 @@ def format_filter_choice(rows: Sequence[FilterChoiceRow]) -> str:
         for r in rows
     ]
     return format_table(
-        ["filter", "payload B", "ICA reduction", "known rate", "FPs/run",
+        ["filter", "payload B", "ICA reduction", "known rate", "FPs/user",
          "lookup us", "eff. FPP"],
         table_rows,
         title="Ablation — AMQ structure choice in the Fig. 5 pipeline",

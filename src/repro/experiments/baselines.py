@@ -1,8 +1,9 @@
 """Related-work comparison — AMQ filter vs cTLS dictionary vs per-peer
 cache flags (§2 of the paper, quantified).
 
-Runs the three designs over one identical browsing workload and reports
-the axes the paper's argument rests on:
+Runs the three designs over one identical browsing workload (one Fig. 5
+cohort user's handshake destinations) and reports the axes the paper's
+argument rests on:
 
 * on-the-wire advertisement bytes per handshake;
 * out-of-band synchronization traffic (cTLS's hidden cost);
@@ -22,7 +23,7 @@ from repro.core.baselines import CTLSClient, CTLSDictionary, PeerCacheFlags
 from repro.core.extension import EXTENSION_FRAMING_BYTES
 from repro.core.suppression import ClientSuppressor
 from repro.pki.store import IntermediatePreload
-from repro.webmodel.browsing import BrowsingConfig, BrowsingModel
+from repro.webmodel.cohort import CohortConfig, first_contact_ranks
 from repro.webmodel.population import ICAPopulation, PopulationConfig
 
 
@@ -37,27 +38,24 @@ class BaselineRow:
 
 
 def compare_designs(
-    num_domains: int = 100,
+    draws: int = 2_000,
     repeat_visits: int = 2,
     population: Optional[ICAPopulation] = None,
     seed: int = 5,
 ) -> List[BaselineRow]:
-    """One workload, three designs.
+    """One workload, three designs: the handshake destinations of one
+    cohort user drawing ``draws`` destinations on stream ``seed``.
 
     ``repeat_visits`` models reconnects: designs that learn per peer only
     pay off on revisits, while the filter suppresses on first contact.
     """
     population = population or ICAPopulation(PopulationConfig(seed=seed))
-    browsing = BrowsingModel(
-        BrowsingConfig(seed=seed), ranking=population.ranking
-    )
-    destinations = browsing.unique_destination_ranks(
-        browsing.session(num_domains)
-    )
+    destinations = first_contact_ranks(
+        CohortConfig(num_users=1, handshakes_per_user=draws, seed=seed)
+    ).tolist()
     contacts = destinations * repeat_visits
 
     hot = population.hot_ica_certificates()
-    hot_fps = {c.fingerprint() for c in hot}
 
     # --- AMQ filter (the paper's design) -----------------------------------
     suppressor = ClientSuppressor(

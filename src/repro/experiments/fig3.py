@@ -307,9 +307,15 @@ def budget_capacities(
     fpp: float = PAPER_FPP,
     load_factor: float = PAPER_LOAD_FACTOR,
 ) -> Dict[str, int]:
-    """Max ICs each structure holds within the ClientHello budget."""
+    """Max ICs each structure holds within the ClientHello budget, sized
+    on canonical params as the planner sizes them."""
+    params = canonical_params(
+        FilterParams(capacity=1, fpp=fpp, load_factor=load_factor)
+    )
     return {
-        kind: max_capacity_within(kind, budget_bytes, fpp, load_factor)
+        kind: max_capacity_within(
+            kind, budget_bytes, params.fpp, params.load_factor
+        )
         for kind in kinds
     }
 

@@ -4,9 +4,8 @@ The paper's latency story is a transport story: PQ authentication data
 overflows TCP's initial congestion window (10 MSS ~ 14.5 KB) and adds
 round trips (§3). This subpackage provides the pieces that turn the TLS
 substrate's byte counts into time: a slow-start flight model
-(:mod:`repro.netsim.tcp`), RTT samplers (:mod:`repro.netsim.latency`), a
-simple link model and a deterministic event loop for full end-to-end
-simulations, plus metric collectors.
+(:mod:`repro.netsim.tcp`), a simple link model and a deterministic event
+loop for full end-to-end simulations, plus metric collectors.
 """
 
 from repro.netsim.clock import SimClock
@@ -27,7 +26,6 @@ from repro.netsim.quic import (
     quic_flights_needed,
     quic_handshake_duration_s,
 )
-from repro.netsim.latency import ConstantRTT, EmpiricalRTT, LogNormalRTT
 from repro.netsim.metrics import ByteCounter, LatencyCollector, summarize
 
 __all__ = [
@@ -45,9 +43,6 @@ __all__ = [
     "quic_extra_flights",
     "quic_flights_needed",
     "quic_handshake_duration_s",
-    "ConstantRTT",
-    "EmpiricalRTT",
-    "LogNormalRTT",
     "ByteCounter",
     "LatencyCollector",
     "summarize",

@@ -10,27 +10,17 @@ browsing) with calibrated generative models:
   preload count) with head-heavy popularity such that a top-10K crawl
   observes the paper's 220-245 distinct ICAs;
 * :mod:`repro.webmodel.crawler` — the monthly top-10K crawl (Table 2);
-* :mod:`repro.webmodel.browsing` — the Burklen et al. user model the
-  paper cites (Zipf-1.9 domain visits, Pareto-2.5 pages per domain,
-  third-party content per page);
-* :mod:`repro.webmodel.session_sim` — the browsing-session simulator
-  behind Fig. 5, reading outcomes from the cohort engine's per-path facts;
 * :mod:`repro.webmodel.flight_probe` — exact ClientHello and server-flight
   sizes, measured by one real handshake per chain shape;
-* :mod:`repro.webmodel.cohort` — the columnar cohort engine (Fig. 5 at
-  traffic scale).
+* :mod:`repro.webmodel.cohort` — the columnar cohort engine behind Fig. 5
+  (one user per browsing session, at any scale), whose destination stream
+  stands in for the Burklen et al. user model the paper cites.
 """
 
 from repro.webmodel.tranco import DomainRanking
 from repro.webmodel.chains import ChainMix, TABLE2_MONTHS, table2_mix
 from repro.webmodel.population import ICAPopulation, PopulationConfig
 from repro.webmodel.crawler import CrawlStats, crawl_top_domains
-from repro.webmodel.browsing import BrowsingModel, BrowsingConfig, Visit
-from repro.webmodel.session_sim import (
-    SessionConfig,
-    SessionResult,
-    BrowsingSessionSimulator,
-)
 from repro.webmodel.churn import ChurnConfig, ChurnResult, StepMetrics
 from repro.webmodel.nonweb import (
     ScenarioConfig,
@@ -51,12 +41,6 @@ __all__ = [
     "PopulationConfig",
     "CrawlStats",
     "crawl_top_domains",
-    "BrowsingModel",
-    "BrowsingConfig",
-    "Visit",
-    "SessionConfig",
-    "SessionResult",
-    "BrowsingSessionSimulator",
     "ChurnConfig",
     "ChurnResult",
     "StepMetrics",

@@ -110,9 +110,9 @@ def zipf_ranks(u: np.ndarray, exponent: float, size: int) -> np.ndarray:
     For exponent a > 1 the continuous density ~ r^-a on [1, size+1]
     has CDF F(r) = (1 - r^(1-a)) / (1 - (size+1)^(1-a)); inverting and
     flooring yields integer ranks whose mass closely tracks the discrete
-    zeta weights the scalar browsing model uses — close enough for the
-    cohort model, and identical between the two cohort paths, which is
-    the property that matters here.
+    zeta weights, with no atom at either end of the universe — and the
+    draw is identical between the two cohort paths, which is the
+    property that matters here.
     """
     if size < 1:
         raise ValueError(f"rank universe must be >= 1, got {size}")
@@ -135,12 +135,16 @@ def lognormal_rtt(
 ) -> np.ndarray:
     """Log-normal RTT draws from two uniform streams via Box-Muller.
 
-    ``median * exp(sigma * z)`` with ``z`` standard normal — the same
-    distribution :class:`repro.netsim.latency.LogNormalRTT` samples, but
-    from counter-based uniforms (Mersenne-Twister streams cannot be
-    reproduced columnarly).  Floored at ``floor_s`` like the scalar
-    sampler's 2 ms physical minimum.
+    ``median * exp(sigma * z)`` with ``z`` standard normal — the standard
+    heavy-tailed fit for Internet RTT populations (sigma 0.5 mixes nearby
+    CDN nodes and intercontinental paths) — from counter-based uniforms,
+    so any sharding reproduces every draw.  Floored at ``floor_s``, a
+    2 ms physical minimum that keeps deep tails physical.
     """
+    if median_s <= 0:
+        raise ValueError(f"median RTT must be positive, got {median_s}")
+    if sigma <= 0:
+        raise ValueError(f"RTT sigma must be positive, got {sigma}")
     radius = np.sqrt(-2.0 * np.log1p(-u1))
     z = radius * np.cos(2.0 * np.pi * u2)
     return np.maximum(floor_s, median_s * np.exp(sigma * z))

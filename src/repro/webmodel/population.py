@@ -14,7 +14,7 @@ Couples the domain ranking to the synthetic PKI:
 
 Every assignment is a pure function of (seed, rank), so the same domain
 always presents the same chain — a property both the crawler and the
-browsing simulator rely on.
+cohort engine rely on.
 """
 
 from __future__ import annotations

@@ -1,15 +1,14 @@
 """Synthetic ranked domain universe (the Tranco Top-1M stand-in).
 
-Domain names are deterministic functions of rank, and popularity-weighted
-sampling uses the Zipf law with the exponent the paper takes from the
-Burklen et al. browsing model (1.9). Monthly snapshots apply a small
-deterministic rank churn so Table 2's month-to-month variation has a
-source.
+Domain names are deterministic functions of rank; popularity-weighted
+destination draws over the ranking are the cohort's counter-based Zipf
+streams (:func:`repro.webmodel.cohortrng.zipf_ranks`). Monthly snapshots
+apply a small deterministic rank churn so Table 2's month-to-month
+variation has a source.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from typing import List
 
@@ -42,23 +41,6 @@ class DomainRanking:
             return int(domain.split(".", 1)[0].split("-")[1])
         except (IndexError, ValueError) as exc:
             raise ConfigurationError(f"not a synthetic domain: {domain!r}") from exc
-
-    def sample_rank(self, rng: random.Random, exponent: float = 1.9) -> int:
-        """Zipf(``exponent``)-distributed rank via inverse-CDF on the
-        continuous Pareto envelope (exact enough for exponents > 1 at
-        this universe size), clamped to the universe."""
-        if exponent <= 1.0:
-            raise ConfigurationError(
-                f"zipf exponent must exceed 1, got {exponent}"
-            )
-        # Continuous inverse CDF (rank ~ u^(-1/(a-1))), rejection-sampled
-        # against the universe bound: clamping instead would pile an atom
-        # of probability onto the single bottom rank.
-        for _ in range(64):
-            rank = int(rng.random() ** (-1.0 / (exponent - 1.0)))
-            if rank <= self.size:
-                return max(1, rank)
-        return self.size  # astronomically unlikely fallback
 
     def monthly_rank(self, rank: int, month_index: int, churn: float = 0.02) -> int:
         """Rank of the same site in a monthly snapshot: a deterministic

@@ -637,6 +637,25 @@ class TestApplier:
         assert app.items == pub.items
         assert app.image() == pub.image_at(pub.version)
 
+    def test_wire_resync_parses_the_image_once(self, monkeypatch):
+        import repro.amq.delta as delta_module
+
+        pub, app = self._pair("cuckoo")
+        pub.publish(_UNIVERSE[20:30])
+        message = pub.snapshot_message()
+        parse = delta_module.deserialize_filter
+        calls = []
+
+        def counting_parse(data):
+            calls.append(len(data))
+            return parse(data)
+
+        monkeypatch.setattr(delta_module, "deserialize_filter", counting_parse)
+        app.apply(message, snapshot_items=pub.items)
+        assert len(calls) == 1
+        assert app.version == pub.version
+        assert app.image() == pub.image_at(pub.version)
+
     def test_failed_patch_leaves_filter_untouched(self):
         pub, app = self._pair("bloom")
         before = app.image()

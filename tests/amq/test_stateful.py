@@ -19,6 +19,7 @@ from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
     invariant,
+    multiple,
     rule,
 )
 from hypothesis import strategies as st
@@ -60,6 +61,15 @@ class FilterMachine(RuleBasedStateMachine):
         )
         self.filt = self.filter_cls(params)
         self.reference = {}  # item -> multiplicity
+
+    @initialize(
+        target=items,
+        raws=st.lists(st.binary(min_size=1, max_size=24), min_size=1, max_size=8),
+    )
+    def seed_items(self, raws):
+        # Every rule that draws from ``items`` can fire from the first
+        # step, so Hypothesis never discards draws waiting for the bundle.
+        return multiple(*raws)
 
     @rule(target=items, raw=st.binary(min_size=1, max_size=24))
     def make_item(self, raw):

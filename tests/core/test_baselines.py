@@ -119,7 +119,7 @@ class TestComparisonDriver:
     def test_compare_designs_shapes(self):
         from repro.experiments.baselines import compare_designs, format_baselines
 
-        rows = compare_designs(num_domains=20, repeat_visits=2)
+        rows = compare_designs(draws=300, repeat_visits=2)
         by_design = {r.design.split(" ")[0]: r for r in rows}
         amq = by_design["amq-filter"]
         ctls = by_design["ctls-dictionary"]

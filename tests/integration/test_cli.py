@@ -16,9 +16,14 @@ class TestParser:
             assert args.artifact == name
 
     def test_defaults(self):
+        from repro.experiments import fig5
+
         args = build_parser().parse_args(["table1"])
-        assert args.runs == 3
-        assert args.domains == 100
+        # Fig. 5 runs at the paper's scale and seed by default.
+        assert args.users == fig5.PAPER_USERS == 10
+        assert args.handshakes_per_user == fig5.PAPER_DRAWS_PER_USER
+        assert args.cohort_seed == fig5.PAPER_SEED == 1
+        assert args.trials == 3
 
     def test_unknown_artifact_rejected(self):
         with pytest.raises(SystemExit):
@@ -60,17 +65,24 @@ class TestExecution:
         assert proc.returncode == 0
         assert "repro" in proc.stdout
 
+    def test_help_lists_no_session_options(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        out = capsys.readouterr().out
+        for gone in ("--cohort ", "--runs", "--domains"):
+            assert gone not in out
+
     def test_fig5_left_with_small_scale(self, capsys):
-        assert main(["fig5-left", "--runs", "1", "--domains", "15"]) == 0
+        assert main(["fig5-left", "--users", "1", "--handshakes-per-user", "40"]) == 0
         assert "reduction" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "artifact, flag, message",
         [
-            ("fig5-left", "--runs", "runs must be >= 1"),
-            ("fig5-right", "--runs", "runs must be >= 1"),
-            ("fig5-left", "--domains", "num_domains must be >= 1"),
-            ("churn", "--runs", "trials must be >= 1"),
+            ("fig5-left", "--users", "num_users must be >= 1"),
+            ("fig5-right", "--users", "num_users must be >= 1"),
+            ("fig5-left", "--handshakes-per-user", "handshakes_per_user must be >= 1"),
+            ("churn", "--trials", "trials must be >= 1"),
             ("churn", "--clients", "num_clients must be >= 1"),
         ],
     )
@@ -89,7 +101,7 @@ class TestExecution:
 
         out_path = tmp_path / "churn.json"
         assert main(
-            ["churn", "--steps", "4", "--runs", "1", "--json-out", str(out_path)]
+            ["churn", "--steps", "4", "--trials", "1", "--json-out", str(out_path)]
         ) == 0
         out = capsys.readouterr().out
         assert "Filter staleness vs false-positive retries" in out
@@ -103,11 +115,11 @@ class TestExecution:
     def test_churn_json_out_is_jobs_invariant(self, tmp_path, capsys):
         serial, parallel = tmp_path / "serial.json", tmp_path / "parallel.json"
         assert main(
-            ["churn", "--steps", "4", "--runs", "2",
+            ["churn", "--steps", "4", "--trials", "2",
              "--jobs", "1", "--json-out", str(serial)]
         ) == 0
         assert main(
-            ["churn", "--steps", "4", "--runs", "2",
+            ["churn", "--steps", "4", "--trials", "2",
              "--jobs", "2", "--json-out", str(parallel)]
         ) == 0
         capsys.readouterr()
@@ -116,7 +128,7 @@ class TestExecution:
 
 class TestReport:
     def test_report_generates_all_sections(self, capsys):
-        assert main(["report", "--runs", "1", "--domains", "20",
+        assert main(["report", "--users", "1", "--handshakes-per-user", "40",
                      "--crawl", "800", "--ops", "800"]) == 0
         out = capsys.readouterr().out
         for heading in (

@@ -147,6 +147,22 @@ class TestFig3:
         assert budgets["vacuum"] >= 300
         assert all(b >= 200 for b in budgets.values())
 
+    @pytest.mark.parametrize(
+        "kind", ["bloom", "counting-bloom", "cuckoo", "vacuum", "quotient", "xor"]
+    )
+    def test_budget_capacity_is_the_planners_largest(self, kind):
+        """The printed max ICs is exactly the planner's largest accepted
+        capacity under the same budget."""
+        from repro.core.filter_config import plan_filter
+        from repro.errors import ConfigurationError
+
+        budget = 550
+        capacity = fig3.budget_capacities(kinds=(kind,), budget_bytes=budget)[kind]
+        plan = plan_filter(capacity, kind, budget_bytes=budget)
+        assert plan.predicted_payload_bytes <= budget
+        with pytest.raises(ConfigurationError):
+            plan_filter(capacity + 1, kind, budget_bytes=budget)
+
     def test_formatters(self):
         assert "Fig. 3-left" in fig3.format_load_factor_sweep(
             fig3.load_factor_sweep(load_factors=(0.5, 0.9))
@@ -174,20 +190,23 @@ class TestFig4:
 
 class TestFig5:
     @pytest.fixture(scope="class")
-    def results(self, population):
-        from repro.webmodel.session_sim import BrowsingSessionSimulator, SessionConfig
+    def engine(self, population):
+        from repro.webmodel.cohort import CohortEngine
 
-        sim = BrowsingSessionSimulator(
-            SessionConfig(seed=1, num_domains=50), population=population
+        return CohortEngine(
+            fig5.fig5_config(users=2, draws=1_000), population=population
         )
-        return sim.run_many(2)
 
-    def test_reduction_in_paper_band(self, results):
-        dv = fig5.data_volume(results)
+    @pytest.fixture(scope="class")
+    def result(self, engine):
+        return engine.run()
+
+    def test_reduction_in_paper_band(self, result):
+        dv = fig5.data_volume(result)
         assert 0.6 <= dv.mean_reduction <= 0.85  # paper: ~0.73
 
-    def test_savings_ordering(self, results):
-        dv = fig5.data_volume(results)
+    def test_savings_ordering(self, result):
+        dv = fig5.data_volume(result)
         by_alg = {r.algorithm: r.mb_saved for r in dv.rows}
         assert by_alg["rsa-2048"] < by_alg["dilithium3"] < by_alg["dilithium5"]
         assert by_alg["dilithium5"] < by_alg["sphincs-128f"]
@@ -198,57 +217,37 @@ class TestFig5:
         assert fit.r_squared > 0.98
         assert fit.slope >= 1.0  # at least one extra round trip per RTT
 
-    def test_ttfb_suppression_helps_big_algorithms(self, results):
+    def test_ttfb_suppression_helps_big_algorithms(self, engine):
         scenarios = {
             (s.algorithm, s.suppressed): s.summary
-            for s in fig5.ttfb_scenarios(results, algorithms=("sphincs-128f",))
+            for s in fig5.ttfb_scenarios(engine, algorithms=("sphincs-128f",))
         }
         assert (
             scenarios[("sphincs-128f", True)].mean
             < scenarios[("sphincs-128f", False)].mean
         )
 
-    def test_formatters(self, results):
-        assert "reduction" in fig5.format_data_volume(fig5.data_volume(results))
+    def test_formatters(self, engine, result):
+        assert "reduction" in fig5.format_data_volume(fig5.data_volume(result))
         assert "slope" in fig5.format_latency_models(fig5.latency_models())
-        assert "median ms" in fig5.format_ttfb(fig5.ttfb_scenarios(results))
+        assert "median ms" in fig5.format_ttfb(fig5.ttfb_scenarios(engine))
 
-    def test_run_sessions_rejects_conflicting_num_domains(self, population):
-        from repro.errors import ConfigurationError
-        from repro.webmodel.session_sim import SessionConfig
+    def test_panels_identical_across_jobs(self):
+        """Both cohort-backed panels read the same numbers at any
+        ``--jobs``, once the measured lookup cost is pinned."""
+        from repro.webmodel.cohort import CohortEngine
 
-        config = SessionConfig(seed=1, num_domains=50)
-        with pytest.raises(ConfigurationError, match="conflicting session sizes"):
-            fig5.run_sessions(
-                runs=1, num_domains=25, config=config, population=population
+        config = fig5.fig5_config(users=4, draws=300, block_users=1)
+        panels = []
+        for jobs in (1, 2):
+            engine = CohortEngine(config)
+            panels.append(
+                (
+                    fig5.data_volume(engine.run(jobs=jobs)),
+                    fig5.ttfb_scenarios(engine, lookup_s=1e-6),
+                )
             )
-
-    def test_run_sessions_rejects_zero_runs(self, population):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="runs must be >= 1"):
-            fig5.run_sessions(runs=0, num_domains=10, population=population)
-
-    def test_data_volume_rejects_empty_results(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="no session results"):
-            fig5.data_volume([])
-
-    def test_ttfb_scenarios_rejects_empty_results(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="no session results"):
-            fig5.ttfb_scenarios([])
-
-    def test_run_sessions_accepts_matching_num_domains(self, population):
-        from repro.webmodel.session_sim import SessionConfig
-
-        config = SessionConfig(seed=1, num_domains=20)
-        results = fig5.run_sessions(
-            runs=1, num_domains=20, config=config, population=population
-        )
-        assert len(results) == 1
+        assert panels[0] == panels[1]
 
 
 class TestAblations:
@@ -271,8 +270,8 @@ class TestAblations:
     def test_filter_choice_rows(self, population):
         rows = ablations.filter_choice(
             kinds=("cuckoo", "vacuum"),
-            num_domains=15,
-            runs=1,
+            users=1,
+            draws=300,
             population=population,
         )
         assert len(rows) == 2
@@ -285,6 +284,6 @@ class TestAblations:
             ablations.initcwnd_sweep(algorithms=("dilithium3",), windows=(10,))
         )
         rows = ablations.filter_choice(
-            kinds=("vacuum",), num_domains=10, runs=1, population=population
+            kinds=("vacuum",), users=1, draws=200, population=population
         )
         assert "vacuum" in ablations.format_filter_choice(rows)

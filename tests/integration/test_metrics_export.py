@@ -7,7 +7,7 @@ the three contracts the metrics layer promises:
   columnar cohort engine at ``jobs=1`` vs ``jobs=2``);
 * the export validates against the checked-in ``repro.obs/v1`` schema
   (both in-process and through the CLI's ``--metrics-out``);
-* the numbers are *true*: the session FP rate tracks the configured
+* the numbers are *true*: the Fig. 5 FP rate tracks the configured
   filter eps, the byte-savings counters reproduce what the Fig. 5 result
   objects report, and the per-handshake TLS machine (the cohort's scalar
   reference) closes its handshake accounting on warm artifact caches.
@@ -23,13 +23,12 @@ from repro.experiments import fig5
 from repro.obs.export import deterministic_counters, to_json_doc
 from repro.obs.schema import validation_errors
 from repro.runtime import artifacts
-from repro.webmodel.cohort import CohortConfig, run_cohort
+from repro.webmodel.cohort import CohortConfig, CohortEngine, run_cohort
 from repro.webmodel.cohort_reference import run_cohort_reference
 from repro.webmodel.population import PopulationConfig
-from repro.webmodel.session_sim import BrowsingSessionSimulator, SessionConfig
 
-RUNS = 2
-CONFIG = SessionConfig(seed=3, num_domains=40)
+#: A small Fig. 5 run (two sessions).
+CONFIG = fig5.fig5_config(users=2, draws=800, seed=3)
 #: A small cohort at a loose fpp, so false-positive retries occur.
 COHORT = CohortConfig(
     num_users=48,
@@ -59,16 +58,15 @@ def _metered(run):
 
 @pytest.fixture(scope="module")
 def sessions():
-    """Metered browsing sessions: (session results, registry snapshot).
+    """A metered Fig. 5 cohort run: (engine, result, registry snapshot).
 
-    The simulator is built *before* the registry turns on and with a
-    pinned lookup time: construction cost depends on process-global
-    artifact-cache state and on the wall clock, neither of which the
-    run-phase metrics describe.
+    The engine is built *before* the registry turns on: construction
+    cost depends on process-global artifact-cache state, which the
+    run-phase metrics do not describe.
     """
     obs.disable()
-    sim = BrowsingSessionSimulator(CONFIG, lookup_seconds=1e-7)
-    return _metered(lambda: sim.run_many(RUNS))
+    engine = CohortEngine(CONFIG)
+    return (engine, *_metered(engine.run))
 
 
 @pytest.fixture(scope="module")
@@ -115,35 +113,35 @@ class TestSerialParallelDeterminism:
 
 class TestMetricsTellTheTruth:
     def test_export_is_schema_valid(self, sessions):
-        assert validation_errors(to_json_doc(sessions[1])) == []
+        assert validation_errors(to_json_doc(sessions[2])) == []
 
     def test_fp_retry_rate_tracks_configured_eps(self, sessions):
-        results, snap = sessions
+        engine, result, snap = sessions
         flat = deterministic_counters(snap)
-        false_positives = flat.get("webmodel.session.false_positives{}", 0)
-        probes = flat["webmodel.session.unknown_ica_probes{}"]
+        false_positives = flat.get("webmodel.cohort.false_positives{}", 0)
+        # Negative queries against the filter: every ICA of a handshake's
+        # path that the preload cache does not hold.
+        probes = 0
+        for block in engine.blocks():
+            draw = engine.draw_block(block)
+            probes += int(engine.facts.unknown[draw.ordinals[draw.first]].sum())
         assert probes > 0
-        # The counter is the session-level false-positive total.
-        assert false_positives == sum(r.false_positives for r in results)
+        # The counter is the cohort-level false-positive total.
+        assert false_positives == result.stats.false_positives
         # The observed rate stays within a generous binomial envelope of
         # the configured lookup fpp (small-sample slack of 5 events).
         assert false_positives / probes <= CONFIG.fpp * 10 + 5 / probes
 
     def test_byte_savings_counters_match_results(self, sessions):
-        results, snap = sessions
+        _, result, snap = sessions
         flat = deterministic_counters(snap)
-        assert flat["webmodel.session.icas_encountered{}"] == sum(
-            r.total_icas for r in results
-        )
-        assert flat["webmodel.session.icas_sent_total{}"] == sum(
-            sum(o.icas_sent_total for o in r.outcomes) for r in results
-        )
-        suppressed_first = flat["webmodel.session.icas_suppressed_first{}"]
-        assert suppressed_first == sum(
-            sum(o.suppressed_count for o in r.outcomes) for r in results
-        )
+        stats = result.stats
+        assert flat["webmodel.cohort.icas_encountered{}"] == stats.icas_encountered
+        assert flat["webmodel.cohort.icas_sent_total{}"] == stats.icas_sent_total
+        suppressed_first = flat["webmodel.cohort.icas_suppressed_first{}"]
+        assert suppressed_first == stats.icas_suppressed_first
         # The paper's headline: most encountered ICAs get suppressed.
-        assert suppressed_first / flat["webmodel.session.icas_encountered{}"] > 0.5
+        assert suppressed_first / flat["webmodel.cohort.icas_encountered{}"] > 0.5
 
     def test_handshake_accounting_is_closed(self, reference):
         result, snap = reference
@@ -161,10 +159,10 @@ class TestMetricsTellTheTruth:
         assert retries == result.stats.retries > 0
 
     def test_fig5_gauges_match_result_rows(self, sessions):
-        results, _ = sessions
+        _, result, _ = sessions
         obs.disable()
         reg = obs.enable()
-        volume = fig5.data_volume(results)
+        volume = fig5.data_volume(result)
         for row in volume.rows:
             labels = (("algorithm", row.algorithm),)
             assert reg.gauge("experiments.fig5.mb_saved", labels) == pytest.approx(
@@ -192,14 +190,14 @@ class TestCliMetricsOut:
     def test_json_export_schema_valid(self, tmp_path, capsys):
         out = tmp_path / "metrics.json"
         assert main(
-            ["fig5-left", "--runs", "1", "--domains", "15",
+            ["fig5-left", "--users", "1", "--handshakes-per-user", "40",
              "--metrics-out", str(out)]
         ) == 0
         assert not obs.enabled()  # CLI restores the disabled default
         doc = json.loads(out.read_text())
         assert validation_errors(doc) == []
         names = {entry["name"] for entry in doc["counters"]}
-        assert "webmodel.session.destinations" in names
+        assert "webmodel.cohort.handshakes" in names
         assert "amq.ops" in names
         gauge_names = {entry["name"] for entry in doc["gauges"]}
         assert "runtime.artifacts.cache_hits" in gauge_names
@@ -208,9 +206,9 @@ class TestCliMetricsOut:
     def test_prometheus_export_by_extension(self, tmp_path, capsys):
         out = tmp_path / "metrics.prom"
         assert main(
-            ["fig5-left", "--runs", "1", "--domains", "15",
+            ["fig5-left", "--users", "1", "--handshakes-per-user", "40",
              "--metrics-out", str(out)]
         ) == 0
         text = out.read_text()
-        assert "# TYPE webmodel_session_destinations_total counter" in text
+        assert "# TYPE webmodel_cohort_handshakes_total counter" in text
         assert "[metrics: prometheus export written to" in capsys.readouterr().err

@@ -3,15 +3,25 @@
 The population/browsing calibration targets (Table-2 distinct-ICA band,
 §5.3 known-ICA rate and destination count) must hold across independent
 seeds, otherwise the headline reproduction would be curve-fitting one
-random draw.
+random draw.  A browsing session is one Fig. 5 cohort user.
 """
 
 import pytest
 
-from repro.webmodel.browsing import BrowsingConfig, BrowsingModel
+from repro.experiments.fig5 import PAPER_DRAWS_PER_USER
+from repro.webmodel.cohort import CohortConfig, first_contact_ranks
 from repro.webmodel.population import ICAPopulation, PopulationConfig
 
 SEEDS = (11, 23, 47)
+
+
+def _session(seed):
+    """One paper-scale session's handshake destinations on stream ``seed``."""
+    return first_contact_ranks(
+        CohortConfig(
+            num_users=1, handshakes_per_user=PAPER_DRAWS_PER_USER, seed=seed
+        )
+    ).tolist()
 
 
 @pytest.fixture(scope="module", params=SEEDS)
@@ -27,10 +37,7 @@ class TestAcrossSeeds:
     def test_known_rate_band(self, seeded_population):
         pop = seeded_population
         hot_fps = {c.fingerprint() for c in pop.hot_ica_certificates()}
-        model = BrowsingModel(
-            BrowsingConfig(seed=pop.config.seed + 1), ranking=pop.ranking
-        )
-        uniq = model.unique_destination_ranks(model.session(120))
+        uniq = _session(pop.config.seed + 1)
         known = total = 0
         for rank in uniq:
             for cert in pop.path_for_rank(rank).ica_certificates():
@@ -41,10 +48,7 @@ class TestAcrossSeeds:
 
     def test_destination_count_band(self, seeded_population):
         pop = seeded_population
-        model = BrowsingModel(
-            BrowsingConfig(seed=pop.config.seed + 2), ranking=pop.ranking
-        )
-        uniq = model.unique_destination_ranks(model.session(200))
+        uniq = _session(pop.config.seed + 2)
         assert 1300 <= len(uniq) <= 2800
 
     def test_chain_mix_band(self, seeded_population):

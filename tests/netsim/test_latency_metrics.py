@@ -1,58 +1,49 @@
-"""Tests for RTT samplers and metric collectors."""
+"""Tests for the RTT model and metric collectors."""
 
 import math
 
+import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.netsim.latency import ConstantRTT, EmpiricalRTT, LogNormalRTT
 from repro.netsim.metrics import ByteCounter, LatencyCollector, percentile, summarize
+from repro.webmodel import cohortrng
+
+
+def _rtts(median_s, sigma, count=4000, seed=1):
+    """``count`` log-normal RTTs from one pair of cohort RTT streams."""
+    counters = np.arange(count, dtype=np.uint64)
+    return cohortrng.lognormal_rtt(
+        cohortrng.uniforms(cohortrng.stream_key(cohortrng.RTT_A_STREAM, seed), counters),
+        cohortrng.uniforms(cohortrng.stream_key(cohortrng.RTT_B_STREAM, seed), counters),
+        median_s,
+        sigma,
+    )
 
 
 class TestSamplers:
-    def test_constant(self):
-        sampler = ConstantRTT(0.05)
-        assert all(sampler.sample() == 0.05 for _ in range(10))
-
-    def test_constant_rejects_negative(self):
-        with pytest.raises(ConfigurationError):
-            ConstantRTT(-0.1)
+    """The RTT model: the cohort's counter-based log-normal draw."""
 
     def test_lognormal_median(self):
-        sampler = LogNormalRTT(median_s=0.04, sigma=0.5, seed=1)
-        samples = sorted(sampler.sample() for _ in range(4000))
-        median = samples[len(samples) // 2]
+        median = float(np.median(_rtts(0.04, 0.5)))
         assert 0.035 <= median <= 0.046
 
     def test_lognormal_floor(self):
-        sampler = LogNormalRTT(median_s=0.003, sigma=2.0, seed=1)
-        assert all(sampler.sample() >= 0.002 for _ in range(2000))
+        assert float(_rtts(0.003, 2.0, count=2000).min()) >= 0.002
 
     def test_lognormal_heavy_tail(self):
-        sampler = LogNormalRTT(median_s=0.04, sigma=0.5, seed=1)
-        samples = [sampler.sample() for _ in range(4000)]
-        assert max(samples) > 3 * 0.04
+        assert float(_rtts(0.04, 0.5).max()) > 3 * 0.04
 
     def test_lognormal_deterministic_by_seed(self):
-        a = LogNormalRTT(0.04, 0.5, seed=9)
-        b = LogNormalRTT(0.04, 0.5, seed=9)
-        assert [a.sample() for _ in range(5)] == [b.sample() for _ in range(5)]
+        a = _rtts(0.04, 0.5, count=5, seed=9)
+        b = _rtts(0.04, 0.5, count=5, seed=9)
+        assert a.tolist() == b.tolist()
+        assert a.tolist() != _rtts(0.04, 0.5, count=5, seed=10).tolist()
 
     def test_lognormal_validation(self):
-        with pytest.raises(ConfigurationError):
-            LogNormalRTT(median_s=0)
-        with pytest.raises(ConfigurationError):
-            LogNormalRTT(median_s=0.04, sigma=0)
-
-    def test_empirical_resamples_population(self):
-        sampler = EmpiricalRTT([0.01, 0.02, 0.03], seed=1)
-        assert all(sampler.sample() in (0.01, 0.02, 0.03) for _ in range(50))
-
-    def test_empirical_validation(self):
-        with pytest.raises(ConfigurationError):
-            EmpiricalRTT([])
-        with pytest.raises(ConfigurationError):
-            EmpiricalRTT([0.01, -0.01])
+        with pytest.raises(ValueError, match="median RTT must be positive"):
+            _rtts(0.0, 0.5, count=1)
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            _rtts(0.04, 0.0, count=1)
 
 
 class TestByteCounter:

@@ -34,6 +34,7 @@ from repro.webmodel.cohort import (
 from repro.webmodel.cohort_reference import run_cohort_reference
 
 MONTHS = ("Jun. '22", "Jan. '22")
+FAMILIES = ("cuckoo", "bloom", "vacuum", "counting-bloom", "quotient", "xor")
 #: Small hot head => probes against unknown-ICA paths are common; the
 #: sampled fpp values then make deterministic per-fingerprint false
 #: positives likely enough to hit the divergent replay path regularly.
@@ -80,7 +81,7 @@ cohort_configs = st.builds(
     _config,
     num_users=st.integers(min_value=1, max_value=14),
     handshakes_per_user=st.integers(min_value=1, max_value=5),
-    filter_kind=st.sampled_from(("cuckoo", "bloom", "vacuum")),
+    filter_kind=st.sampled_from(FAMILIES),
     fpp=st.sampled_from((0.25, 0.02)),
     payload_refresh_every=st.integers(min_value=0, max_value=4),
     seed=st.integers(min_value=0, max_value=3),
@@ -99,7 +100,7 @@ def test_any_cohort_matches_scalar_reference(config):
     assert_equivalent(config)
 
 
-@pytest.mark.parametrize("filter_kind", ["cuckoo", "bloom", "vacuum"])
+@pytest.mark.parametrize("filter_kind", FAMILIES)
 def test_fp_retries_equal_per_filter_family(filter_kind):
     """A deterministic high-fpp cohort per family that *must* take the
     divergent replay path — guards the Hypothesis suite against passing

@@ -1,9 +1,10 @@
-"""Determinism and caching invariants of the session runtime.
+"""Determinism and caching invariants of the Fig. 5 session runtime.
 
 The contracts this file pins down:
 
-* sessions are pure functions of (config, run index): repeated runs,
-  fresh simulators and cache-bypassed simulators all agree;
+* sessions (cohort users) are pure functions of (config, user index):
+  fresh engines and cache-bypassed engines all agree, and distinct users
+  draw distinct sessions;
 * artifact-cache hits never change handshake byte accounting — a warm
   handshake reports the same ``client_hello_bytes`` /
   ``server_flight_bytes`` / ``ica_bytes_sent`` as a cold or cache-bypassed
@@ -15,16 +16,17 @@ The contracts this file pins down:
 import pytest
 
 from repro.core.suppression import ClientSuppressor, ServerSuppressor
+from repro.experiments.fig5 import fig5_config
 from repro.pki.store import IntermediatePreload
 from repro.runtime import artifacts
 from repro.tls.server import ServerConfig
 from repro.tls.session import run_handshake
+from repro.webmodel.cohort import CohortEngine, first_contact_ranks
 from repro.webmodel.population import ICAPopulation, PopulationConfig
-from repro.webmodel.session_sim import BrowsingSessionSimulator, SessionConfig
 
 
 def _small_config(seed, filter_kind="cuckoo"):
-    return SessionConfig(seed=seed, num_domains=6, filter_kind=filter_kind)
+    return fig5_config(users=2, draws=30, seed=seed, filter_kind=filter_kind)
 
 
 # ---------------------------------------------------------------------------
@@ -32,32 +34,21 @@ def _small_config(seed, filter_kind="cuckoo"):
 # ---------------------------------------------------------------------------
 
 
-def test_run_many_zero_runs():
-    sim = BrowsingSessionSimulator(_small_config(5))
-    assert sim.run_many(0) == []
-
-
 def test_runs_are_distinct_per_index():
-    sim = BrowsingSessionSimulator(_small_config(5))
-    a, b = sim.run_many(2)
-    assert a.outcomes != b.outcomes  # different run indices, different sessions
+    config = _small_config(5)
+    a, b = (first_contact_ranks(config, user).tolist() for user in (0, 1))
+    assert a != b  # different users, different sessions
 
 
 def test_same_seed_same_results_across_simulators():
-    r1 = BrowsingSessionSimulator(_small_config(7)).run(0)
-    sim2 = BrowsingSessionSimulator(_small_config(7))
-    sim2._lookup_seconds = r1.filter_lookup_seconds
-    assert sim2.run(0) == r1
+    r1 = CohortEngine(_small_config(7)).run()
+    assert CohortEngine(_small_config(7)).run() == r1
 
 
 def test_disabled_caches_reproduce_session_result(bypass_artifact_caches):
-    sim = BrowsingSessionSimulator(_small_config(9))
-    enabled_result = sim.run(0)
+    enabled_result = CohortEngine(_small_config(9)).run()
     with bypass_artifact_caches():
-        sim2 = BrowsingSessionSimulator(
-            _small_config(9), lookup_seconds=sim._lookup_seconds
-        )
-        disabled_result = sim2.run(0)
+        disabled_result = CohortEngine(_small_config(9)).run()
     assert disabled_result == enabled_result
 
 

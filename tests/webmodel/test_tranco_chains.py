@@ -2,11 +2,20 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.webmodel import cohortrng
 from repro.webmodel.chains import PAPER_MONTH, TABLE2_MONTHS, ChainMix, table2_mix
 from repro.webmodel.tranco import DomainRanking
+
+
+def _zipf_draws(exponent, size, count, seed=7):
+    """``count`` bounded Zipf ranks from one cohort rank stream."""
+    key = cohortrng.stream_key(cohortrng.RANK_STREAM, seed)
+    counters = np.arange(count, dtype=np.uint64)
+    return cohortrng.zipf_ranks(cohortrng.uniforms(key, counters), exponent, size)
 
 
 class TestDomainRanking:
@@ -26,27 +35,25 @@ class TestDomainRanking:
         with pytest.raises(ConfigurationError):
             DomainRanking().rank_of("www.google.com")
 
+    # Destination draws over the ranking are the cohort's counter-based
+    # Zipf stream (the only rank sampler).
+
     def test_zipf_sampling_is_head_heavy(self):
-        ranking = DomainRanking(size=1_000_000)
-        rng = random.Random(7)
-        samples = [ranking.sample_rank(rng, 1.9) for _ in range(3000)]
-        top10_share = sum(1 for s in samples if s <= 10) / len(samples)
+        samples = _zipf_draws(1.9, 1_000_000, 3000)
+        top10_share = float(np.mean(samples <= 10))
         assert top10_share > 0.5
-        assert max(samples) <= 1_000_000
+        assert samples.max() <= 1_000_000
 
     def test_zipf_no_atom_at_bottom(self):
-        """Rejection sampling, not clamping: the bottom rank must not
+        """A truncated inverse CDF, not clamping: the bottom rank must not
         accumulate the entire tail mass."""
-        ranking = DomainRanking(size=1000)
-        rng = random.Random(7)
-        samples = [ranking.sample_rank(rng, 1.08) for _ in range(4000)]
-        bottom = sum(1 for s in samples if s == 1000)
+        samples = _zipf_draws(1.08, 1000, 4000)
+        bottom = int(np.sum(samples == 1000))
         assert bottom < 40
 
     def test_zipf_validates_exponent(self):
-        rng = random.Random(1)
-        with pytest.raises(ConfigurationError):
-            DomainRanking().sample_rank(rng, 1.0)
+        with pytest.raises(ValueError, match="exponent must exceed 1"):
+            _zipf_draws(1.0, 1000, 10)
 
     def test_monthly_rank_stays_in_bounds_and_is_stable(self):
         ranking = DomainRanking(size=10_000, seed=3)
