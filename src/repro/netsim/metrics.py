@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
+import numpy as np
+
 
 class ByteCounter:
     """Counts bytes by category (e.g. 'ica', 'leaf', 'staples')."""
@@ -73,7 +75,7 @@ class Summary:
 
 def percentile(sorted_values: Sequence[float], q: float) -> float:
     """Linear-interpolated percentile of pre-sorted values, q in [0, 1]."""
-    if not sorted_values:
+    if len(sorted_values) == 0:
         return float("nan")
     if len(sorted_values) == 1:
         return sorted_values[0]
@@ -85,24 +87,28 @@ def percentile(sorted_values: Sequence[float], q: float) -> float:
 
 
 def summarize(values: Sequence[float]) -> Summary:
-    if not values:
+    """Count, mean, percentiles, range and sample stdev of ``values``
+    (a sequence or a float array)."""
+    ordered = np.sort(np.asarray(values, dtype=float))
+    n = len(ordered)
+    if not n:
         nan = float("nan")
         return Summary(0, nan, nan, nan, nan, nan, nan, nan, nan)
-    ordered = sorted(values)
-    n = len(ordered)
-    mean = sum(ordered) / n
+    mean = float(ordered.mean())
     # Sample variance (Bessel's correction): these are always summaries of
     # a sample of simulated handshakes, never the full population. A
     # single observation has no spread estimate; report 0.0.
-    var = sum((v - mean) ** 2 for v in ordered) / (n - 1) if n > 1 else 0.0
+    deviations = ordered - mean
+    deviations *= deviations
+    var = float(deviations.sum()) / (n - 1) if n > 1 else 0.0
     return Summary(
         count=n,
         mean=mean,
-        median=percentile(ordered, 0.5),
-        p10=percentile(ordered, 0.1),
-        p90=percentile(ordered, 0.9),
-        p99=percentile(ordered, 0.99),
-        minimum=ordered[0],
-        maximum=ordered[-1],
+        median=float(percentile(ordered, 0.5)),
+        p10=float(percentile(ordered, 0.1)),
+        p90=float(percentile(ordered, 0.9)),
+        p99=float(percentile(ordered, 0.99)),
+        minimum=float(ordered[0]),
+        maximum=float(ordered[-1]),
         stdev=math.sqrt(var),
     )
