@@ -8,8 +8,9 @@ of N users as numpy columns instead:
   streams of :mod:`repro.webmodel.cohortrng` (pure functions of
   ``(stream key, user * slots + slot)``, so any sharding reproduces them);
 * chain composition is a gather: ``rank -> ICAPath`` is a pure function
-  of the population seed, so the engine resolves each *unique* rank once
-  and reads :class:`PathFacts` columns (depth, ICA bytes, base-filter
+  of the population seed, so the engine resolves a block's new ranks in
+  one :meth:`~repro.webmodel.population.ICAPopulation.path_ordinals`
+  call and reads :class:`PathFacts` columns (depth, ICA bytes, base-filter
   hits, false-positive flag) for every (user, slot) cell;
 * filter behaviour comes from one bulk ``contains_batch`` probe of the
   advertised wire image over every path's fingerprints (Fig. 5-right's
@@ -311,14 +312,11 @@ class PathFacts:
     """
 
     def __init__(self, population: ICAPopulation, base: ClientSuppressor) -> None:
-        self.population = population
         # The wire image as the server sees it — probed for facts, so a
         # serialize/deserialize round-trip can never cause drift.
         probe = parse_extension_payload(base.extension_payload())
         known = frozenset(base.cache.fingerprints())
         paths = population.hierarchy.paths
-        self._path_index = {id(path): i for i, path in enumerate(paths)}
-        self._rank_ordinal: Dict[int, int] = {}
         self.certs: List[list] = [p.ica_certificates() for p in paths]
         self.fps: List[List[bytes]] = [
             [cert.fingerprint() for cert in certs] for certs in self.certs
@@ -349,22 +347,6 @@ class PathFacts:
             self.supp_bytes[p] = sum(s for s, h in zip(sizes, path_hits) if h)
             self.fp[p] = any(h and f not in known for f, h in zip(fps, path_hits))
             self.unknown[p] = sum(1 for f in fps if f not in known)
-
-    def ordinal(self, rank: int) -> int:
-        """Path ordinal of ``rank`` (memoized; ``path_for_rank`` is a
-        pure function of (population seed, rank))."""
-        ordinal = self._rank_ordinal.get(rank)
-        if ordinal is None:
-            ordinal = self._path_index[id(self.population.path_for_rank(rank))]
-            self._rank_ordinal[rank] = ordinal
-        return ordinal
-
-    def ordinals(self, ranks: np.ndarray) -> np.ndarray:
-        """Path ordinal per entry of ``ranks``."""
-        lookup = self.ordinal
-        return np.fromiter(
-            (lookup(rank) for rank in ranks.tolist()), dtype=np.int64, count=len(ranks)
-        )
 
 
 def _first_contact_mask(ranks: np.ndarray) -> np.ndarray:
@@ -611,13 +593,11 @@ class CohortEngine:
             cfg.rtt_median_s,
             cfg.rtt_sigma,
         )
-        unique_ranks = np.unique(ranks)
-        unique_ordinals = self.facts.ordinals(unique_ranks)
         return BlockDraw(
             ranks=ranks,
             rtt_s=rtt,
             first=_first_contact_mask(ranks),
-            ordinals=unique_ordinals[np.searchsorted(unique_ranks, ranks)],
+            ordinals=self.population.path_ordinals(ranks),
         )
 
     def _run_block(self, block: Tuple[int, int]) -> _BlockPart:
@@ -658,7 +638,7 @@ class CohortEngine:
 
         # Divergent rows: exact replay through the client-state machine.
         for local in np.nonzero(divergent)[0]:
-            replay = self._replay_user(ranks[local], first[local])
+            replay = self._replay_user(ordinals[local], first[local])
             retries[local] = replay.retries
             learned[local] = replay.learned_icas
             sent_first_count[local] = replay.icas_sent_first
@@ -685,7 +665,7 @@ class CohortEngine:
         return _BlockPart(start=start, columns=columns, rtt_s=rtt[first])
 
     def _replay_user(
-        self, rank_row: np.ndarray, first_row: np.ndarray
+        self, ordinal_row: np.ndarray, first_row: np.ndarray
     ) -> _UserReplay:
         """Replay one FP-affected user through the engine's client-state
         machine: every probe, learned batch and payload refresh is a memo
@@ -710,7 +690,7 @@ class CohortEngine:
                 and handshake_index % refresh_every == 0
             ):
                 advertised = machine.refresh(advertised, state)
-            ordinal = facts.ordinal(int(rank_row[slot]))
+            ordinal = int(ordinal_row[slot])
             fps = facts.fps[ordinal]
             sizes = facts.sizes[ordinal]
             hits = machine.probe(advertised, ordinal) if fps else ()

@@ -7,8 +7,11 @@ paper's table reports: the chain-size shares and the distinct-ICA count.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Set
+from typing import Dict, List
+
+import numpy as np
 
 from repro.webmodel.chains import TABLE2_MONTHS, table2_mix
 from repro.webmodel.population import ICAPopulation
@@ -47,17 +50,17 @@ def crawl_top_domains(
     little (``DomainRanking.monthly_rank``), and the population's chain
     mix follows the month's observed distribution.
     """
-    mix = table2_mix(month)
     population = _with_month(population, month)
-    depth_counts: Dict[int, int] = {}
-    distinct: Set[bytes] = set()
-    for rank in range(1, num_domains + 1):
-        actual = population.ranking.monthly_rank(rank, month_index)
-        depth = population.depth_for_rank(actual)
-        path = population.path_for_rank(actual)
-        depth_counts[min(depth, 4)] = depth_counts.get(min(depth, 4), 0) + 1
-        for cert in path.ica_certificates():
-            distinct.add(cert.fingerprint())
+    ranking, paths = population.ranking, population.hierarchy.paths
+    ordinals = population.path_ordinals(
+        np.array([ranking.monthly_rank(r, month_index) for r in range(1, num_domains + 1)])
+    )
+    depth_counts = Counter(min(paths[o].depth, 4) for o in ordinals.tolist())
+    distinct = {
+        cert.fingerprint()
+        for o in np.unique(ordinals).tolist()
+        for cert in paths[o].ica_certificates()
+    }
     shares = {d: c / num_domains for d, c in depth_counts.items()}
     return CrawlStats(
         month=month,
@@ -84,4 +87,5 @@ def _with_month(population: ICAPopulation, month: str) -> ICAPopulation:
     clone = object.__new__(ICAPopulation)
     clone.__dict__.update(population.__dict__)
     clone._mix = table2_mix(month)
+    clone.reset_memos()
     return clone
