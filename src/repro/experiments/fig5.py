@@ -318,14 +318,15 @@ def first_attempts(engine: CohortEngine) -> FirstAttempts:
     for block in engine.blocks():
         draw = engine.draw_block(block)
         ordinals = draw.ordinals[draw.first]
-        # Narrow dtypes: a population-scale cohort has millions of cells.
-        depth = facts.depth[ordinals].astype(np.int8)
+        # Narrow dtypes: a population-scale cohort has millions of cells
+        # (the fact columns are narrow already).
+        depth = facts.depth[ordinals]
         parts.append(
             (
                 draw.ranks[draw.first].astype(np.int32),
                 draw.rtt_s[draw.first],
                 depth,
-                depth - facts.nhits[ordinals].astype(np.int8),
+                depth - facts.nhits[ordinals],
                 facts.fp[ordinals],
             )
         )

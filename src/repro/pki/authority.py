@@ -333,6 +333,8 @@ def build_hierarchy(
     authorities: List[CertificateAuthority] = []
     parent_of: Dict[int, Optional[int]] = {}  # index -> parent ica index
     root_of: Dict[int, CertificateAuthority] = {}
+    # (root index, depth) -> indices of the ICAs there, in creation order.
+    by_level: Dict[Tuple[int, int], List[int]] = {}
     depths = list(depth_weights.keys())
     weights = list(depth_weights.values())
     for i in range(total_icas):
@@ -341,14 +343,12 @@ def build_hierarchy(
         # child of an existing ICA under the same root.
         target_depth = rng.choices(depths, weights=weights, k=1)[0]
         parent_idx: Optional[int] = None
+        depth = 1
         if target_depth > 1:
-            candidates = [
-                j
-                for j, ca in enumerate(authorities)
-                if root_of[j] is root and _depth_of(j, parent_of) == target_depth - 1
-            ]
+            candidates = by_level.get((i % num_roots, target_depth - 1))
             if candidates:
                 parent_idx = rng.choice(candidates)
+                depth = target_depth
         if parent_idx is None:
             parent = root
         else:
@@ -360,6 +360,7 @@ def build_hierarchy(
         authorities.append(ica)
         parent_of[i] = parent_idx
         root_of[i] = root
+        by_level.setdefault((i % num_roots, depth), []).append(i)
 
     paths: List[ICAPath] = []
     for i, ica in enumerate(authorities):
@@ -375,12 +376,3 @@ def build_hierarchy(
     for root in roots:
         paths.append(ICAPath(root=root, authorities=()))
     return Hierarchy(roots, paths, seed)
-
-
-def _depth_of(index: int, parent_of: Dict[int, Optional[int]]) -> int:
-    depth = 1
-    j = parent_of[index]
-    while j is not None:
-        depth += 1
-        j = parent_of[j]
-    return depth

@@ -58,9 +58,15 @@ evicted state is rebuilt, unmetered, from the preload by replaying its
 learned batches.  ``tests/webmodel/test_cohort_vs_scalar.py`` pins the
 equivalence against the untouched per-handshake TLS machine.
 
-Aggregate float identity: RTTs are kept as one (user-major, slot-major)
-column and reduced with a single ``np.sum`` at finalize time, so the
-result is independent of block size and ``--jobs``.
+**Output layout.**  :meth:`CohortEngine.run` allocates its result buffers
+once and writes every block into them in user order: the per-user columns
+at ``[start:stop]``, each in the narrowest signed dtype that holds its
+bound (:func:`column_dtypes`), and the block's handshake RTTs at the next
+free offset of one float64 buffer of ``num_users * handshakes_per_user``
+entries.  No block part outlives its write.  Aggregate float identity:
+the RTT sum is a single ``np.sum`` over the written, contiguous
+(user-major, slot-major) column, so the result is independent of block
+size and ``--jobs``.
 """
 
 from __future__ import annotations
@@ -174,6 +180,44 @@ def destination_ranks(
     )
 
 
+def column_dtype(bound: int) -> np.dtype:
+    """The narrowest signed integer dtype holding every value in
+    ``[0, bound]``."""
+    return np.min_scalar_type(-bound - 1)
+
+
+#: The most each per-user column grows per handshake, as ``(unit,
+#: factor)``: ``"one"`` is one per handshake, ``"depth"``/``"bytes"`` the
+#: largest path's ICA count/ICA bytes.  A retry resends the whole chain,
+#: hence ×2 on ``*_sent_total``.
+_COLUMN_GROWTH = {
+    "handshakes": ("one", 1),
+    "retries": ("one", 1),
+    "icas_encountered": ("depth", 1),
+    "icas_sent_first": ("depth", 1),
+    "icas_sent_total": ("depth", 2),
+    "ica_bytes_total": ("bytes", 1),
+    "ica_bytes_sent_first": ("bytes", 1),
+    "ica_bytes_sent_total": ("bytes", 2),
+    "learned_icas": ("depth", 1),
+    "payload_refreshes": ("one", 1),
+}
+
+
+def column_dtypes(slots: int, max_depth: int, max_bytes: int) -> Dict[str, np.dtype]:
+    """The dtype of every :class:`CohortColumns` field for users of
+    ``slots`` destination draws on paths of at most ``max_depth`` ICAs and
+    ``max_bytes`` ICA bytes: the narrowest signed type that provably holds
+    ``slots`` times the column's per-path maximum."""
+    maxima = {"one": 1, "depth": max_depth, "bytes": max_bytes}
+    dtypes = {
+        name: column_dtype(slots * maxima[unit] * factor)
+        for name, (unit, factor) in _COLUMN_GROWTH.items()
+    }
+    dtypes["divergent"] = np.dtype(bool)
+    return dtypes
+
+
 @dataclass(frozen=True)
 class CohortColumns:
     """Per-user result columns (index = user id, cohort order)."""
@@ -189,6 +233,11 @@ class CohortColumns:
     learned_icas: np.ndarray
     payload_refreshes: np.ndarray
     divergent: np.ndarray
+
+    @classmethod
+    def zeros(cls, users: int, dtypes: Dict[str, np.dtype]) -> "CohortColumns":
+        """Zeroed columns for ``users`` users (see :func:`column_dtypes`)."""
+        return cls(**{name: np.zeros(users, dtype) for name, dtype in dtypes.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CohortColumns):
@@ -278,12 +327,32 @@ class CohortResult:
 
 @dataclass(frozen=True)
 class _BlockPart:
-    """One user block's contribution (picklable; arrays concatenate in
-    block order, which is user order)."""
+    """One user block's contribution (picklable): its per-user columns
+    and its handshakes' RTTs, written into the run's buffers and then
+    dropped."""
 
     start: int
     columns: CohortColumns
     rtt_s: np.ndarray
+
+
+class _CohortOutputs:
+    """A run's result buffers, written one block at a time in user order:
+    the per-user columns at ``[start:stop]``, the RTTs at the next free
+    offset of a column sized for every draw to be a handshake."""
+
+    def __init__(self, config: CohortConfig, dtypes: Dict[str, np.dtype]) -> None:
+        self.columns = CohortColumns.zeros(config.num_users, dtypes)
+        self.rtt = np.empty(config.num_users * config.handshakes_per_user)
+        self.handshakes = 0
+
+    def write(self, part: _BlockPart) -> None:
+        stop = part.start + len(part.columns.handshakes)
+        for name in CohortColumns.__dataclass_fields__:
+            getattr(self.columns, name)[part.start : stop] = getattr(part.columns, name)
+        end = self.handshakes + len(part.rtt_s)
+        self.rtt[self.handshakes : end] = part.rtt_s
+        self.handshakes = end
 
 
 @dataclass(frozen=True)
@@ -309,6 +378,8 @@ class PathFacts:
     what a real handshake to any destination on that path observes:
     ICAs on the path, their bytes, filter hits, the hit bytes, whether a
     hit is a false positive, and how many ICAs are unknown to the cache.
+    Integer columns take the narrowest dtype holding their largest value
+    (:func:`column_dtype`), so the per-cell gathers stay narrow too.
     """
 
     def __init__(self, population: ICAPopulation, base: ClientSuppressor) -> None:
@@ -330,23 +401,25 @@ class PathFacts:
             flat.extend(fps)
             offsets.append(len(flat))
         hits = list(probe.contains_batch(flat)) if flat else []
-        num = len(self.fps)
-        self.depth = np.zeros(num, dtype=np.int64)
-        self.nbytes = np.zeros(num, dtype=np.int64)
-        self.nhits = np.zeros(num, dtype=np.int64)
-        self.supp_bytes = np.zeros(num, dtype=np.int64)
-        self.fp = np.zeros(num, dtype=bool)
-        self.unknown = np.zeros(num, dtype=np.int64)
-        for p in range(num):
-            fps = self.fps[p]
-            sizes = self.sizes[p]
+        depth, nbytes, nhits, supp_bytes, fp, unknown = [], [], [], [], [], []
+        for p, (fps, sizes) in enumerate(zip(self.fps, self.sizes)):
             path_hits = hits[offsets[p] : offsets[p + 1]]
-            self.depth[p] = len(fps)
-            self.nbytes[p] = sum(sizes)
-            self.nhits[p] = sum(1 for h in path_hits if h)
-            self.supp_bytes[p] = sum(s for s, h in zip(sizes, path_hits) if h)
-            self.fp[p] = any(h and f not in known for f, h in zip(fps, path_hits))
-            self.unknown[p] = sum(1 for f in fps if f not in known)
+            depth.append(len(fps))
+            nbytes.append(sum(sizes))
+            nhits.append(sum(1 for h in path_hits if h))
+            supp_bytes.append(sum(s for s, h in zip(sizes, path_hits) if h))
+            fp.append(any(h and f not in known for f, h in zip(fps, path_hits)))
+            unknown.append(sum(1 for f in fps if f not in known))
+
+        def narrow(values: List[int]) -> np.ndarray:
+            return np.array(values, dtype=column_dtype(max(values, default=0)))
+
+        self.depth = narrow(depth)
+        self.nbytes = narrow(nbytes)
+        self.nhits = narrow(nhits)
+        self.supp_bytes = narrow(supp_bytes)
+        self.fp = np.array(fp, dtype=bool)
+        self.unknown = narrow(unknown)
 
 
 def _first_contact_mask(ranks: np.ndarray) -> np.ndarray:
@@ -569,6 +642,12 @@ class CohortEngine:
         self.facts = PathFacts(self.population, base)
         self._keys = cohort_stream_keys(config.seed)
         self._machine = _ClientStates(config, self._hot, self.facts)
+        #: dtype of every per-user result column (:func:`column_dtypes`).
+        self.dtypes = column_dtypes(
+            config.handshakes_per_user,
+            int(self.facts.depth.max(initial=0)),
+            int(self.facts.nbytes.max(initial=0)),
+        )
 
     # -- columnar fast path + replay slow path ---------------------------------
 
@@ -586,13 +665,16 @@ class CohortEngine:
         start, stop = block
         cfg = self.config
         counters = cohortrng.block_counters(start, stop, cfg.handshakes_per_user)
-        ranks = destination_ranks(cfg, self._keys, counters)
+        # RTTs first: their two uniform columns are dead before the ranks
+        # are drawn, and the counters before the path lookup.
         rtt = cohortrng.lognormal_rtt(
             cohortrng.uniforms(self._keys[cohortrng.RTT_A_STREAM], counters),
             cohortrng.uniforms(self._keys[cohortrng.RTT_B_STREAM], counters),
             cfg.rtt_median_s,
             cfg.rtt_sigma,
         )
+        ranks = destination_ranks(cfg, self._keys, counters)
+        del counters
         return BlockDraw(
             ranks=ranks,
             rtt_s=rtt,
@@ -616,25 +698,33 @@ class CohortEngine:
         fp_cell = first & facts.fp[ordinals]
         divergent = fp_cell.any(axis=1)
 
+        dtypes = self.dtypes
         # State-independent columns (valid for every user: dedup, chain
         # composition and protocol refresh points don't depend on filter
         # state).
-        handshakes = first.sum(axis=1)
-        encountered = np.where(first, depth, 0).sum(axis=1)
-        bytes_total = np.where(first, nbytes, 0).sum(axis=1)
+        handshakes = first.sum(axis=1, dtype=dtypes["handshakes"])
+        encountered = np.where(first, depth, 0).sum(
+            axis=1, dtype=dtypes["icas_encountered"]
+        )
+        bytes_total = np.where(first, nbytes, 0).sum(
+            axis=1, dtype=dtypes["ica_bytes_total"]
+        )
+        refreshes = np.zeros(stop - start, dtype=dtypes["payload_refreshes"])
         if cfg.payload_refresh_every:
-            refreshes = (handshakes - 1) // cfg.payload_refresh_every
-        else:
-            refreshes = np.zeros(stop - start, dtype=np.int64)
+            refreshes[:] = (handshakes - 1) // cfg.payload_refresh_every
 
         # Base-state columns, valid only off the divergent rows.
         fast = first & ~divergent[:, None]
-        sent_first_count = np.where(fast, depth - nhits, 0).sum(axis=1)
-        sent_first_bytes = np.where(fast, nbytes - supp_bytes, 0).sum(axis=1)
-        retries = np.zeros(stop - start, dtype=np.int64)
-        learned = np.zeros(stop - start, dtype=np.int64)
-        sent_total_count = sent_first_count.copy()
-        sent_total_bytes = sent_first_bytes.copy()
+        sent_first_count = np.where(fast, depth - nhits, 0).sum(
+            axis=1, dtype=dtypes["icas_sent_first"]
+        )
+        sent_first_bytes = np.where(fast, nbytes - supp_bytes, 0).sum(
+            axis=1, dtype=dtypes["ica_bytes_sent_first"]
+        )
+        retries = np.zeros(stop - start, dtype=dtypes["retries"])
+        learned = np.zeros(stop - start, dtype=dtypes["learned_icas"])
+        sent_total_count = sent_first_count.astype(dtypes["icas_sent_total"])
+        sent_total_bytes = sent_first_bytes.astype(dtypes["ica_bytes_sent_total"])
 
         # Divergent rows: exact replay through the client-state machine.
         for local in np.nonzero(divergent)[0]:
@@ -735,26 +825,29 @@ class CohortEngine:
         jobs = resolve_jobs(jobs)
         blocks = self.blocks()
         metered = obs.enabled()
+        out = _CohortOutputs(cfg, self.dtypes)
         if jobs <= 1 or len(blocks) <= 1:
-            if not metered:
-                parts = [self._run_block(block) for block in blocks]
-            else:
-                parts = []
-                for block in blocks:
+            for block in blocks:
+                if metered:
                     part, snap = run_metered(self._run_block, block)
                     obs.merge(snap)
-                    parts.append(part)
+                else:
+                    part = self._run_block(block)
+                out.write(part)
         else:
             payload = _CohortWorkerPayload(config=cfg)
-            parts = parallel_map(
+            for part in parallel_map(
                 _cohort_worker_block,
                 blocks,
                 jobs=jobs,
                 initializer=_cohort_worker_init,
                 initargs=(payload,),
                 metered=metered,
-            )
-        return finalize_cohort(cfg, parts, len(self.payload))
+            ):
+                out.write(part)
+        return finalize_cohort(
+            cfg, out.columns, out.rtt[: out.handshakes], len(self.payload)
+        )
 
 
 def run_cohort(
@@ -803,36 +896,32 @@ def record_cohort_counters(columns: CohortColumns, destinations: int) -> None:
     )
 
 
+def _total(column: np.ndarray) -> int:
+    return int(column.sum(dtype=np.int64))
+
+
 def finalize_cohort(
     config: CohortConfig,
-    parts: Sequence[_BlockPart],
+    columns: CohortColumns,
+    rtt_s: np.ndarray,
     filter_payload_bytes: int,
 ) -> CohortResult:
-    """Concatenate block parts (block order == user order) and reduce.
+    """Reduce a run's per-user columns and its RTT column (one entry per
+    handshake, user-major slot-major order) to the result.
 
-    The RTT sum is one ``np.sum`` over the full concatenated column —
-    the same array whatever the block size or jobs value, hence the same
-    float.
+    The RTT sum is one ``np.sum`` over that contiguous column — the same
+    array whatever the block size or jobs value, hence the same float.
     """
-    columns = CohortColumns(
-        **{
-            name: np.concatenate(
-                [getattr(part.columns, name) for part in parts]
-            )
-            for name in CohortColumns.__dataclass_fields__
-        }
-    )
-    rtt = np.concatenate([part.rtt_s for part in parts])
     users = len(columns.handshakes)
     destinations = users * config.handshakes_per_user
-    handshakes = int(columns.handshakes.sum())
-    retries = int(columns.retries.sum())
-    encountered = int(columns.icas_encountered.sum())
-    sent_first = int(columns.icas_sent_first.sum())
-    sent_total = int(columns.icas_sent_total.sum())
-    bytes_total = int(columns.ica_bytes_total.sum())
-    bytes_first = int(columns.ica_bytes_sent_first.sum())
-    bytes_sent = int(columns.ica_bytes_sent_total.sum())
+    handshakes = _total(columns.handshakes)
+    retries = _total(columns.retries)
+    encountered = _total(columns.icas_encountered)
+    sent_first = _total(columns.icas_sent_first)
+    sent_total = _total(columns.icas_sent_total)
+    bytes_total = _total(columns.ica_bytes_total)
+    bytes_first = _total(columns.ica_bytes_sent_first)
+    bytes_sent = _total(columns.ica_bytes_sent_total)
     stats = CohortStats(
         users=users,
         destinations=destinations,
@@ -851,13 +940,13 @@ def finalize_cohort(
         ica_bytes_sent_first=bytes_first,
         ica_bytes_sent_total=bytes_sent,
         ica_bytes_suppressed_first=bytes_total - bytes_first,
-        learned_icas=int(columns.learned_icas.sum()),
-        payload_refreshes=int(columns.payload_refreshes.sum()),
-        divergent_users=int(columns.divergent.sum()),
+        learned_icas=_total(columns.learned_icas),
+        payload_refreshes=_total(columns.payload_refreshes),
+        divergent_users=_total(columns.divergent),
         filter_payload_bytes=filter_payload_bytes,
-        rtt_sum_s=float(np.sum(rtt)),
+        rtt_sum_s=float(np.sum(rtt_s)),
     )
-    return CohortResult(config=config, columns=columns, rtt_s=rtt, stats=stats)
+    return CohortResult(config=config, columns=columns, rtt_s=rtt_s, stats=stats)
 
 
 # -- worker plumbing -----------------------------------------------------------

@@ -50,8 +50,8 @@ from repro.webmodel.cohort import (
     CohortColumns,
     CohortConfig,
     CohortResult,
-    _BlockPart,
     cohort_stream_keys,
+    column_dtypes,
     finalize_cohort,
     record_cohort_counters,
 )
@@ -76,17 +76,29 @@ def run_cohort_reference(
     slots = config.handshakes_per_user
     users = config.num_users
 
-    handshakes = np.zeros(users, dtype=np.int64)
-    retries = np.zeros(users, dtype=np.int64)
-    encountered = np.zeros(users, dtype=np.int64)
-    sent_first_count = np.zeros(users, dtype=np.int64)
-    sent_total_count = np.zeros(users, dtype=np.int64)
-    bytes_total = np.zeros(users, dtype=np.int64)
-    sent_first_bytes = np.zeros(users, dtype=np.int64)
-    sent_total_bytes = np.zeros(users, dtype=np.int64)
-    learned = np.zeros(users, dtype=np.int64)
-    refreshes = np.zeros(users, dtype=np.int64)
-    divergent = np.zeros(users, dtype=bool)
+    paths = population.hierarchy.paths
+    columns = CohortColumns.zeros(
+        users,
+        column_dtypes(
+            slots,
+            max(path.depth for path in paths),
+            max(
+                sum(cert.size_bytes() for cert in path.ica_certificates())
+                for path in paths
+            ),
+        ),
+    )
+    handshakes = columns.handshakes
+    retries = columns.retries
+    encountered = columns.icas_encountered
+    sent_first_count = columns.icas_sent_first
+    sent_total_count = columns.icas_sent_total
+    bytes_total = columns.ica_bytes_total
+    sent_first_bytes = columns.ica_bytes_sent_first
+    sent_total_bytes = columns.ica_bytes_sent_total
+    learned = columns.learned_icas
+    refreshes = columns.payload_refreshes
+    divergent = columns.divergent
     rtt_column: List[float] = []
     payload_bytes: Optional[int] = None
 
@@ -178,21 +190,7 @@ def run_cohort_reference(
 
     if payload_bytes is None:  # pragma: no cover - users >= 1 by config
         payload_bytes = 0
-    columns = CohortColumns(
-        handshakes=handshakes,
-        retries=retries,
-        icas_encountered=encountered,
-        icas_sent_first=sent_first_count,
-        icas_sent_total=sent_total_count,
-        ica_bytes_total=bytes_total,
-        ica_bytes_sent_first=sent_first_bytes,
-        ica_bytes_sent_total=sent_total_bytes,
-        learned_icas=learned,
-        payload_refreshes=refreshes,
-        divergent=divergent,
-    )
     record_cohort_counters(columns, destinations=users * slots)
-    part = _BlockPart(
-        start=0, columns=columns, rtt_s=np.array(rtt_column, dtype=np.float64)
+    return finalize_cohort(
+        config, columns, np.array(rtt_column, dtype=np.float64), payload_bytes
     )
-    return finalize_cohort(config, [part], payload_bytes)

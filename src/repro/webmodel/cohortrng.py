@@ -76,17 +76,27 @@ def counter_hash(key: int, counters: np.ndarray) -> np.ndarray:
     same shape.  For a fixed key this is a bijection in the counter, so
     distinct counters give distinct words.
     """
-    z = np.uint64(key) + (counters + np.uint64(1)) * _GOLDEN
-    z = (z ^ (z >> _SHIFT_30)) * _MIX1
-    z = (z ^ (z >> _SHIFT_27)) * _MIX2
-    return z ^ (z >> _SHIFT_31)
+    # In place, with one spare word column: a block's columns are large.
+    z = counters + np.uint64(1)
+    z *= _GOLDEN
+    z += np.uint64(key)
+    t = np.empty_like(z)
+    for shift, mix in ((_SHIFT_30, _MIX1), (_SHIFT_27, _MIX2)):
+        np.right_shift(z, shift, out=t)
+        z ^= t
+        z *= mix
+    np.right_shift(z, _SHIFT_31, out=t)
+    z ^= t
+    return z
 
 
 def uniforms(key: int, counters: np.ndarray) -> np.ndarray:
     """IEEE-double uniforms in [0, 1) from the (key, counter) stream."""
-    return (counter_hash(key, counters) >> _SHIFT_11).astype(np.float64) * (
-        _U53_SCALE
-    )
+    z = counter_hash(key, counters)
+    z >>= _SHIFT_11
+    u = z.astype(np.float64)
+    u *= _U53_SCALE
+    return u
 
 
 def user_counters(user: int, slots_per_user: int) -> np.ndarray:
@@ -120,7 +130,9 @@ def zipf_ranks(u: np.ndarray, exponent: float, size: int) -> np.ndarray:
         raise ValueError(f"zipf exponent must exceed 1, got {exponent}")
     one_minus_a = 1.0 - exponent
     lo = float(size + 1) ** one_minus_a
-    r = (1.0 - u * (1.0 - lo)) ** (1.0 / one_minus_a)
+    r = u * (1.0 - lo)
+    np.subtract(1.0, r, out=r)
+    np.power(r, 1.0 / one_minus_a, out=r)
     ranks = r.astype(np.int64)
     np.clip(ranks, 1, size, out=ranks)
     return ranks
@@ -145,6 +157,17 @@ def lognormal_rtt(
         raise ValueError(f"median RTT must be positive, got {median_s}")
     if sigma <= 0:
         raise ValueError(f"RTT sigma must be positive, got {sigma}")
-    radius = np.sqrt(-2.0 * np.log1p(-u1))
-    z = radius * np.cos(2.0 * np.pi * u2)
-    return np.maximum(floor_s, median_s * np.exp(sigma * z))
+    # The same operations in place (two float columns live, not six).
+    radius = np.negative(u1)
+    np.log1p(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    z = u2 * (2.0 * np.pi)
+    np.cos(z, out=z)
+    z *= radius
+    del radius
+    z *= sigma
+    np.exp(z, out=z)
+    z *= median_s
+    np.maximum(z, floor_s, out=z)
+    return z

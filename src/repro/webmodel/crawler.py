@@ -47,13 +47,13 @@ def crawl_top_domains(
     """Crawl the month's top ``num_domains`` and tally chain statistics.
 
     The month enters twice, as in reality: the rank list itself churns a
-    little (``DomainRanking.monthly_rank``), and the population's chain
+    little (``DomainRanking.monthly_ranks``), and the population's chain
     mix follows the month's observed distribution.
     """
     population = _with_month(population, month)
     ranking, paths = population.ranking, population.hierarchy.paths
     ordinals = population.path_ordinals(
-        np.array([ranking.monthly_rank(r, month_index) for r in range(1, num_domains + 1)])
+        ranking.monthly_ranks(np.arange(1, num_domains + 1), month_index)
     )
     depth_counts = Counter(min(paths[o].depth, 4) for o in ordinals.tolist())
     distinct = {

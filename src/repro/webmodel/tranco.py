@@ -4,7 +4,8 @@ Domain names are deterministic functions of rank; popularity-weighted
 destination draws over the ranking are the cohort's counter-based Zipf
 streams (:func:`repro.webmodel.cohortrng.zipf_ranks`). Monthly snapshots
 apply a small deterministic rank churn so Table 2's month-to-month
-variation has a source.
+variation has a source: :meth:`DomainRanking.monthly_rank` is its scalar
+spec, :meth:`DomainRanking.monthly_ranks` the same draws as columns.
 """
 
 from __future__ import annotations
@@ -12,9 +13,16 @@ from __future__ import annotations
 import random
 from typing import List
 
+import numpy as np
+
 from repro.errors import ConfigurationError
+from repro.webmodel.mtkernel import MASK32, mt_words, randbelow_columns
 
 _TLDS = ("com", "org", "net", "io", "dev", "co", "app", "info")
+
+#: Output words :meth:`DomainRanking.monthly_ranks` draws per rank: a
+#: ``randrange`` rejects each with probability at most 1/2.
+_JITTER_WORDS = 8
 
 
 class DomainRanking:
@@ -50,6 +58,38 @@ class DomainRanking:
         rng = random.Random((self._seed << 24) ^ (rank * 1000003) ^ month_index)
         span = max(1, int(rank * churn))
         return min(max(1, rank + rng.randint(-span, span)), self.size)
+
+    def monthly_ranks(
+        self, ranks: np.ndarray, month_index: int, churn: float = 0.02
+    ) -> np.ndarray:
+        """:meth:`monthly_rank` of every entry of the 1-D ``ranks`` (each
+        in ``[1, size]``), with one :func:`mt_words` call for the batch.
+
+        ``randint(-span, span)`` is ``-span + randrange(2 * span + 1)``;
+        the few ranks whose ``randrange`` rejected all ``_JITTER_WORDS``
+        words take the scalar spec, as do ranks too large for this layout
+        (a seed term of 2**64 or more, a span of 2**31 or more).
+        """
+        ranks = np.asarray(ranks, dtype=np.int64)
+        out = ranks.copy()
+        jittered = np.flatnonzero(ranks != 1) if month_index else ranks[:0]
+        if jittered.size == 0:
+            return out
+        moved = ranks[jittered]
+        # random.Random(s), s = (seed << 24) ^ (rank * 1000003) ^ month, is
+        # seeded with high * 2**64 + low where rank * 1000003 < 2**64.
+        fixed = (self._seed << 24) ^ month_index
+        low = np.uint64(fixed & (2**64 - 1)) ^ (
+            moved.astype(np.uint64) * np.uint64(1000003)
+        )
+        words = mt_words(fixed >> 64, low, _JITTER_WORDS)
+        span = np.maximum(1, (moved * churn).astype(np.int64))
+        wide = (2 * span + 1 > MASK32) | (moved >= 2**64 // 1000003)
+        offset, ok = randbelow_columns(words, np.where(wide, 1, 2 * span + 1))
+        out[jittered] = np.clip(moved - span + offset, 1, self.size)
+        for i in jittered[~ok | wide].tolist():
+            out[i] = self.monthly_rank(int(ranks[i]), month_index, churn)
+        return out
 
     def top(self, n: int) -> List[str]:
         return [self.domain(r) for r in range(1, min(n, self.size) + 1)]

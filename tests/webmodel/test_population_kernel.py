@@ -5,7 +5,8 @@
 through ``mt_words``.  These tests pin the two to each other: the raw
 Mersenne-Twister words against the stdlib (so each CI Python pins its own
 ``random`` contract), then paths over every branch of the draw, the hot
-ICA scan (order included) and the crawler's month views.
+ICA scan (order included), the crawler's month views and the monthly
+rank jitter (``DomainRanking.monthly_ranks`` against ``monthly_rank``).
 """
 
 import random
@@ -18,8 +19,11 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.webmodel import population as population_module
+from repro.webmodel import tranco as tranco_module
 from repro.webmodel.crawler import _with_month, crawl_top_domains
-from repro.webmodel.population import ICAPopulation, PopulationConfig, mt_words
+from repro.webmodel.mtkernel import mt_words
+from repro.webmodel.population import ICAPopulation, PopulationConfig
+from repro.webmodel.tranco import DomainRanking
 
 _MASK64 = (1 << 64) - 1
 
@@ -131,18 +135,29 @@ def test_path_ordinals_match_scalar_spec(seed):
 )
 def test_path_ordinals_match_scalar_spec_on_every_branch(overrides, monkeypatch):
     population = ICAPopulation(PopulationConfig(seed=5, **overrides))
-    counts = []
+    counts, served = [], []
 
     def spy(high, low, count):
         counts.append(count)
         return mt_words(high, low, count)
 
+    spec = ICAPopulation.path_for_rank
+
+    def fallback(self, rank):
+        served.append(rank)
+        return spec(self, rank)
+
     monkeypatch.setattr(population_module, "mt_words", spy)
     ranks = np.concatenate([np.arange(1, 12_001), np.arange(400_000, 404_000)])
+    with monkeypatch.context() as patch:
+        patch.setattr(ICAPopulation, "path_for_rank", fallback)
+        population.path_ordinals(ranks)  # fills the memo _check_ranks reads
     _check_ranks(population, ranks)
+    assert max(counts) == 8  # one kernel call per salt, no redraw
     if overrides.get("num_roots") == 1:
-        # randrange(1) rejects half its words: some ranks need a redraw.
-        assert max(counts) > 8
+        # randrange(1) rejects half its words: some ranks reject all 8
+        # and the scalar spec serves them.
+        assert len(served) >= 1
     if "universe_icas" in overrides:
         depths = population._paths_by_depth
         assert any(not depths.get(d) for d in range(1, 5))
@@ -200,3 +215,39 @@ def test_month_view_keeps_its_own_memos():
         for rank in moved[:3]:
             chain = pop.credential_for_rank(rank).chain
             assert list(chain.intermediates) == pop.path_for_rank(rank).ica_certificates()
+
+
+def _scalar_monthly(ranking, ranks, month, churn=0.02):
+    return [ranking.monthly_rank(int(r), month, churn) for r in ranks]
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**31 - 1, 2**40 + 3, 2**90, -7, -(2**70)])
+@pytest.mark.parametrize("month", [0, 1, 5])
+def test_monthly_ranks_match_scalar_spec(seed, month):
+    ranking = DomainRanking(seed=seed)
+    rng = np.random.default_rng(abs(seed) % 2**32)
+    ranks = np.concatenate(
+        [np.arange(1, 3_001), rng.integers(1, ranking.size + 1, 1_000), [ranking.size]]
+    )
+    got = ranking.monthly_ranks(ranks, month)
+    assert got.dtype == np.int64
+    assert got.tolist() == _scalar_monthly(ranking, ranks, month)
+
+
+def test_monthly_ranks_fall_back_to_the_scalar_spec(monkeypatch):
+    """Ranks whose ``randrange`` rejects every word drawn (forced here
+    with one word per rank) and spans beyond 32 bits take the scalar
+    spec, and agree with it; so do clipped jitters in a small ranking."""
+    monkeypatch.setattr(tranco_module, "_JITTER_WORDS", 1)
+    ranking = DomainRanking(size=2_000, seed=3)
+    ranks = np.arange(1, 2_001)
+    for churn in (0.02, 0.5, 3.0):
+        assert ranking.monthly_ranks(ranks, 2, churn).tolist() == _scalar_monthly(
+            ranking, ranks, 2, churn
+        )
+    huge = DomainRanking(size=2**45, seed=-11)
+    ranks = np.array([1, 2, 2**31, 2**33 + 5, 2**44, 2**45])
+    assert huge.monthly_ranks(ranks, 4, 1.0).tolist() == _scalar_monthly(
+        huge, ranks, 4, 1.0
+    )
+    assert ranking.monthly_ranks(np.array([], dtype=np.int64), 3).size == 0
