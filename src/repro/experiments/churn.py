@@ -25,19 +25,16 @@ level replays the recorded frames.  Its trace memo means each distinct
 handshake context — per epoch, a site, the advertised payload's length
 and the probe hit on the site's chain, which is all the trace reads from
 the payload — runs through the TLS machine once per trial rather than
-once per level or per payload image.  Trials reseed the world, so no
-frame or context recurs across them: :class:`_TrialTraces` drops the
-memo when the next trial's first cell arrives, and a process holds one
-trial's tape and traces at a time.  A level that lands on another worker
-records a tape of its own there.
-When there are at least as many trials as workers, the pool maps one
-trial's levels per chunk (``chunksize=len(staleness_levels)``) and every
-worker is still busy; with fewer trials than workers it keeps the pool's
-default split, so a lone trial's levels spread over the workers instead
-of queueing behind one memo.  The memo lives for one
-:func:`run_churn_experiment` call — a second call reaches the TLS
-machine again — and results come back in (level, trial) order for any
-``jobs``.
+once per level or per payload image.  The sweep maps work items, each a
+run of cells that share one fresh memo: when there are at least as many
+trials as workers an item is one trial's levels, and every worker is
+still busy; with fewer trials than workers an item is one cell, so a
+lone trial's levels spread over the workers instead of queueing behind
+one memo (each then records a tape of its own).  Trials reseed the
+world, so no frame or context recurs across trials, and a process holds
+one item's tape and traces at a time.  The memo lives for one item — a
+second :func:`run_churn_experiment` call reaches the TLS machine again —
+and results come back in (level, trial) order for any ``jobs``.
 
 Wire images and probe plans live in content-keyed artifact caches
 (:data:`repro.runtime.artifacts.FILTER_BUILDS` /
@@ -52,7 +49,6 @@ per-process execution detail, not part of the deterministic document:
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -132,28 +128,12 @@ def _cell_config(config: ChurnExperimentConfig, level: int, trial: int) -> Churn
     )
 
 
-class _TrialTraces:
-    """The memo of the trial a process is running — its world tape and
-    its representative traces (see the module docstring): a cell of
-    another trial starts an empty one."""
-
-    def __init__(self) -> None:
-        self.trial: Optional[int] = None
-        self.memo = ChurnMemo()
-
-    def of(self, trial: int) -> ChurnMemo:
-        if trial != self.trial:
-            self.trial, self.memo = trial, ChurnMemo()
-        return self.memo
-
-
 def _run_cell(
-    cell: Tuple[int, int, str, ChurnCohortConfig],
-    memo: Optional[_TrialTraces] = None,
+    cell: Tuple[int, int, str, ChurnCohortConfig], memo: ChurnMemo
 ) -> ChurnCellResult:
     level, trial, engine, cfg = cell
     if engine == "columnar":
-        result = run_churn_cohort(cfg, memo.of(trial) if memo is not None else None)
+        result = run_churn_cohort(cfg, memo)
     else:
         result = run_churn_cohort_reference(cfg)
     return ChurnCellResult(
@@ -172,6 +152,14 @@ def _run_cell(
         events=len(result.events),
         fp_retry_curve=tuple(result.fp_retry_curve()),
     )
+
+
+def _run_cells(
+    cells: List[Tuple[int, int, str, ChurnCohortConfig]],
+) -> List[ChurnCellResult]:
+    """One work item: its cells, in order, on one fresh memo."""
+    memo = ChurnMemo()
+    return [_run_cell(cell, memo) for cell in cells]
 
 
 def run_churn_experiment(
@@ -203,16 +191,18 @@ def run_churn_experiment(
         for trial in range(config.trials)
         for level in levels
     ]
-    # The pool pickles the memo once per chunk, so every chunk starts
-    # from its own empty one.
+    # One trial's levels per work item while that keeps every worker busy,
+    # else one cell per item (see the module docstring).
     jobs = resolve_jobs(jobs)
-    results = parallel_map(
-        functools.partial(_run_cell, memo=_TrialTraces()),
-        cells,
-        jobs=jobs,
-        metered=obs.enabled(),
-        chunksize=len(levels) if config.trials >= jobs else None,
-    )
+    width = len(levels) if config.trials >= jobs else 1
+    items = [cells[i : i + width] for i in range(0, len(cells), width)]
+    results = [
+        cell
+        for item in parallel_map(
+            _run_cells, items, jobs=jobs, metered=obs.enabled()
+        )
+        for cell in item
+    ]
     return [
         results[trial * len(levels) + index]
         for index in range(len(levels))

@@ -5,7 +5,7 @@ overflows TCP's initial congestion window (10 MSS ~ 14.5 KB) and adds
 round trips (§3). This subpackage provides the pieces that turn the TLS
 substrate's byte counts into time: a slow-start flight model
 (:mod:`repro.netsim.tcp`), a simple link model and a deterministic event
-loop for full end-to-end simulations, plus metric collectors.
+loop for full end-to-end simulations, plus summary statistics.
 """
 
 from repro.netsim.clock import SimClock
@@ -26,7 +26,7 @@ from repro.netsim.quic import (
     quic_flights_needed,
     quic_handshake_duration_s,
 )
-from repro.netsim.metrics import ByteCounter, LatencyCollector, summarize
+from repro.netsim.metrics import summarize
 
 __all__ = [
     "SimClock",
@@ -43,7 +43,5 @@ __all__ = [
     "quic_extra_flights",
     "quic_flights_needed",
     "quic_handshake_duration_s",
-    "ByteCounter",
-    "LatencyCollector",
     "summarize",
 ]

@@ -10,15 +10,14 @@ experiments use — so a bug in either shows up as a disagreement.
 
 The sender model is deliberately classic Reno-style slow start with
 cumulative ACKs per flight (one ACK batch per window, as delayed-ACK
-implementations effectively behave for handshake-sized transfers), no
-loss recovery (the experiments' links are lossless; the Link's loss knob
-exists for the loss ablation, which uses retransmission timeouts).
+implementations effectively behave for handshake-sized transfers) over
+lossless links, as in every experiment, so there is no loss recovery.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.errors import SimulationError
 from repro.netsim.events import EventLoop
@@ -40,7 +39,6 @@ class TransferResult:
     last_byte_time_s: float
     flights: int
     segments_sent: int
-    retransmissions: int = 0
 
 
 class TCPSender:
@@ -53,8 +51,6 @@ class TCPSender:
         ack_link: Link,
         payload_bytes: int,
         config: TCPConfig = TCPConfig(),
-        rto_s: float = 1.0,
-        max_retries: int = 8,
     ) -> None:
         if payload_bytes < 0:
             raise SimulationError(f"negative payload {payload_bytes}")
@@ -63,15 +59,11 @@ class TCPSender:
         self._ack_link = ack_link
         self._config = config
         self._payload = payload_bytes
-        self._rto = rto_s
-        self._max_retries = max_retries
         self._cwnd = config.initcwnd_bytes
         self._sent = 0
         self._acked = 0
         self._flights = 0
         self._segments = 0
-        self._retransmissions = 0
-        self._retries = 0
         self._last_byte_time = 0.0
         self._done: Optional[TransferResult] = None
 
@@ -106,7 +98,6 @@ class TCPSender:
         self._segments += segments
         self._sent += flight_bytes
         expected_ack = self._sent
-        sent_at_flight = self._flights
 
         def on_delivery() -> None:
             if expected_ack >= self._payload:
@@ -114,26 +105,7 @@ class TCPSender:
             # Receiver ACKs the whole flight cumulatively.
             self._ack_link.send(64, lambda: self._on_ack(expected_ack))
 
-        def on_drop() -> None:
-            self._schedule_retransmit(sent_at_flight)
-
-        self._data_link.send(flight_bytes, on_delivery, on_drop)
-
-    def _schedule_retransmit(self, flight: int) -> None:
-        self._retries += 1
-        if self._retries > self._max_retries:
-            raise SimulationError("transfer exceeded retransmission budget")
-
-        def retransmit() -> None:
-            if self._done is not None or self._acked >= self._sent:
-                return
-            self._retransmissions += 1
-            # Go-back-N to the last cumulative ACK.
-            self._sent = self._acked
-            self._cwnd = self._config.initcwnd_bytes  # timeout: restart
-            self._send_window()
-
-        self._loop.schedule(self._rto, retransmit)
+        self._data_link.send(flight_bytes, on_delivery)
 
     def _on_ack(self, ack_bytes: int) -> None:
         if ack_bytes <= self._acked:
@@ -149,7 +121,6 @@ class TCPSender:
                 last_byte_time_s=self._last_byte_time,
                 flights=self._flights,
                 segments_sent=self._segments,
-                retransmissions=self._retransmissions,
             )
             return
         self._send_window()
@@ -160,16 +131,11 @@ def simulate_transfer(
     rtt_s: float = 0.04,
     bandwidth_bps: float = 1e9,
     config: TCPConfig = TCPConfig(),
-    loss_rate: float = 0.0,
-    seed: int = 0,
 ) -> TransferResult:
     """Run one sender to completion and return its result."""
     loop = EventLoop()
-    data_link = Link(
-        loop, rtt_s=rtt_s, bandwidth_bps=bandwidth_bps,
-        loss_rate=loss_rate, seed=seed,
-    )
-    ack_link = Link(loop, rtt_s=rtt_s, bandwidth_bps=bandwidth_bps, seed=seed + 1)
+    data_link = Link(loop, rtt_s=rtt_s, bandwidth_bps=bandwidth_bps)
+    ack_link = Link(loop, rtt_s=rtt_s, bandwidth_bps=bandwidth_bps)
     sender = TCPSender(loop, data_link, ack_link, payload_bytes, config)
     sender.start()
     loop.run(max_events=100_000)

@@ -1,62 +1,44 @@
 """A point-to-point link for event-driven simulations.
 
-Delivery time = propagation (RTT/2) + serialization (payload/bandwidth),
-with optional Bernoulli loss. Used by the event-loop-based integration
-scenarios; the closed-form flight model in :mod:`repro.netsim.tcp` covers
-the paper's experiments directly.
+Delivery time = propagation (RTT/2) + serialization (payload/bandwidth).
+The link is lossless. Used by the packet-level flow oracle
+(:mod:`repro.netsim.flows`); the closed-form flight model in
+:mod:`repro.netsim.tcp` covers the paper's experiments directly.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.errors import ConfigurationError
 from repro.netsim.events import EventLoop
 
 
 class Link:
-    """Unidirectional link with delay, bandwidth and loss."""
+    """Unidirectional lossless link with delay and bandwidth."""
 
     def __init__(
         self,
         loop: EventLoop,
         rtt_s: float = 0.04,
         bandwidth_bps: float = 100e6,
-        loss_rate: float = 0.0,
-        seed: int = 0,
     ) -> None:
         if rtt_s < 0:
             raise ConfigurationError(f"negative RTT {rtt_s}")
         if bandwidth_bps <= 0:
             raise ConfigurationError(f"bandwidth must be positive, got {bandwidth_bps}")
-        if not 0.0 <= loss_rate < 1.0:
-            raise ConfigurationError(f"loss rate must be in [0, 1), got {loss_rate}")
         self._loop = loop
         self._one_way = rtt_s / 2
         self._bandwidth = bandwidth_bps
-        self._loss = loss_rate
-        self._rng = random.Random(seed ^ 0x11BC)
         self.bytes_sent = 0
         self.bytes_delivered = 0
-        self.packets_dropped = 0
 
     def delivery_delay(self, payload_bytes: int) -> float:
         return self._one_way + payload_bytes * 8 / self._bandwidth
 
-    def send(
-        self,
-        payload_bytes: int,
-        on_delivery: Callable[[], None],
-        on_drop: Optional[Callable[[], None]] = None,
-    ) -> None:
+    def send(self, payload_bytes: int, on_delivery: Callable[[], None]) -> None:
         """Schedule delivery of ``payload_bytes`` through the link."""
         self.bytes_sent += payload_bytes
-        if self._loss and self._rng.random() < self._loss:
-            self.packets_dropped += 1
-            if on_drop is not None:
-                self._loop.schedule(self._one_way, on_drop)
-            return
 
         def deliver() -> None:
             self.bytes_delivered += payload_bytes

@@ -1,50 +1,12 @@
-"""Metric collectors and summary statistics for experiments."""
+"""Summary statistics for experiments."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from dataclasses import dataclass
+from typing import Dict, Sequence
 
 import numpy as np
-
-
-class ByteCounter:
-    """Counts bytes by category (e.g. 'ica', 'leaf', 'staples')."""
-
-    def __init__(self) -> None:
-        self._counts: Dict[str, int] = {}
-
-    def add(self, category: str, nbytes: int) -> None:
-        self._counts[category] = self._counts.get(category, 0) + nbytes
-
-    def get(self, category: str) -> int:
-        return self._counts.get(category, 0)
-
-    def total(self) -> int:
-        return sum(self._counts.values())
-
-    def as_dict(self) -> Dict[str, int]:
-        return dict(self._counts)
-
-
-class LatencyCollector:
-    """Accumulates latency samples (seconds) per scenario label."""
-
-    def __init__(self) -> None:
-        self._samples: Dict[str, List[float]] = {}
-
-    def record(self, label: str, seconds: float) -> None:
-        self._samples.setdefault(label, []).append(seconds)
-
-    def samples(self, label: str) -> List[float]:
-        return list(self._samples.get(label, []))
-
-    def labels(self) -> List[str]:
-        return sorted(self._samples)
-
-    def summary(self, label: str) -> "Summary":
-        return summarize(self._samples.get(label, []))
 
 
 @dataclass(frozen=True)

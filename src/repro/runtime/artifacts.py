@@ -3,9 +3,9 @@
 The per-handshake TLS machine re-derives the same immutable artifacts
 thousands of times per experiment: certificates are re-parsed from
 identical DER bytes on every handshake, chain signatures are re-verified
-although neither the certificates nor the trust anchors changed, leaf
-credentials are re-issued for the same domain, and every simulator
-construction rebuilds an identical AMQ filter from the same hot-ICA set. All of those
+although neither the certificates nor the trust anchors changed, and
+every simulator construction rebuilds an identical AMQ filter from the
+same hot-ICA set. All of those
 are pure functions of their inputs, so this module gives each one a
 bounded, content-keyed cache with hit/miss counters.  It imports nothing
 from the package but :mod:`repro.obs`, so every layer (``amq``, ``pki``,
@@ -137,10 +137,6 @@ TBS_PADS = _register(ContentCache("tbs_pads", max_entries=1024))
 #: Small recurring DER fragments: ("name", cn) -> encoded Name,
 #: ("alg", name) -> encoded AlgorithmIdentifier.
 DER_FRAGMENTS = _register(ContentCache("der_fragments", max_entries=8192))
-#: (issuer fingerprint, subject, leaf seed, serial, not_before) ->
-#: ServerCredential; content-addressed leaf issuance (the population
-#: derives leaf seeds from (population seed, rank), so the key is pure).
-CREDENTIALS = _register(ContentCache("credentials", max_entries=8192))
 #: Flight-size probe memo (the TTFB loops would otherwise re-run one
 #: handshake per sample).
 FLIGHT_SIZES = _register(ContentCache("flight_sizes", max_entries=4096))

@@ -1,31 +1,38 @@
 """Deterministic process-pool fan-out for the experiment layer.
 
-``parallel_map`` runs a picklable function over an item list on a process
-pool and returns results in item order, so a sharded experiment produces
-exactly the list its serial loop would. Determinism is the contract:
+``parallel_imap`` runs a function over an item list on a forked process
+pool and yields results in item order, so a sharded experiment produces
+exactly the stream its serial loop would. Determinism is the contract:
 
 * results come back ordered, whatever the completion order;
 * per-item randomness must be derived with :func:`derive_seed` (a stable
   content hash over the experiment's seed and the item index), never from
   worker-local state, ``seed * 1009 + i``-style arithmetic that collides
   across streams, or anything dependent on which worker ran the item;
-* workers are initialized once per process (rebuilding the population /
-  simulator there, not pickling it per task); where the platform forks,
-  they also start with every artifact-cache entry the parent holds.
+* the pool forks after ``fn`` is stored in a module global, so workers
+  call the caller's own function object — a bound method with its engine
+  and population, a closure, a partial — and start with every
+  artifact-cache entry the parent holds; only items and results are
+  pickled.
+
+At most ``2 * jobs`` items are in flight, so a consumer that writes each
+result as it arrives holds O(jobs) results, not O(items).
 
 Failures propagate cleanly: an exception raised by ``fn`` in a worker
 re-raises in the parent with its original type; a worker dying outright
-surfaces as :class:`WorkerCrashError`; Ctrl-C tears the pool down without
-leaking children. When ``jobs`` resolves to 1 — or multiprocessing is
-unusable on the platform — the same call runs serially in-process.
+surfaces as :class:`WorkerCrashError`; Ctrl-C, an exception or a consumer
+that stops early tears the pool down without leaking children. When
+``jobs`` resolves to 1, there is at most one item, or the platform cannot
+fork, the same call runs serially in-process.
 """
 
 from __future__ import annotations
 
-import functools
+import collections
 import hashlib
+import itertools
 import os
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro import obs
 from repro.errors import SimulationError
@@ -109,32 +116,92 @@ def run_metered(fn: Callable[[Any], Any], item: Any) -> Tuple[Any, Dict[str, Any
     return result, reg.snapshot()
 
 
-def _metered_call(fn: Callable[[Any], Any], item: Any) -> Tuple[Any, Dict[str, Any]]:
-    """Module-level (hence picklable via ``functools.partial``) wrapper
-    pools map instead of ``fn`` when ``metered=True``."""
-    return run_metered(fn, item)
+#: The function of the pool being forked; workers inherit it.
+_FN: Optional[Callable[[Any], Any]] = None
 
 
-def _merge_metered(pairs: List[Tuple[Any, Dict[str, Any]]]) -> List[Any]:
-    """Fold per-item snapshots into the parent registry **in item order**
-    (counter merges commute, but histogram reservoirs are order-sensitive)
-    and return the bare results."""
-    results = []
-    for result, snap in pairs:
-        obs.merge(snap)
-        results.append(result)
-    return results
+def _call(item: Any) -> Any:
+    return _FN(item)
 
 
-def _pool_context():
-    """Prefer fork (cheap worker start, inherits warm caches); fall back
-    to the platform default where fork does not exist."""
+def _call_metered(item: Any) -> Tuple[Any, Dict[str, Any]]:
+    return run_metered(_FN, item)
+
+
+def _fork_context():
+    """The fork start method, or None on a platform without one (a serial
+    run there is the documented fallback; imported lazily, so serial runs
+    never load :mod:`multiprocessing`)."""
     import multiprocessing
 
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    return multiprocessing.get_context("fork")
+
+
+def parallel_imap(
+    fn: Callable[[Any], Any],
+    items: Iterable[Any],
+    *,
+    jobs: Optional[int] = None,
+    metered: bool = False,
+) -> Iterator[Any]:
+    """Yield ``fn(item)`` for every item, in item order, computed on
+    ``jobs`` forked processes.
+
+    ``fn`` is never pickled; every item and result must be. With
+    ``metered=True`` each item runs through :func:`run_metered` and its
+    metric snapshot is merged into this process's registry as its result
+    is yielded, in item order, so the merged counters are identical for
+    every ``jobs`` value.
+    """
+    global _FN
+    items = list(items)
+    jobs = min(resolve_jobs(jobs), max(1, len(items)))
+    context = _fork_context() if jobs > 1 else None
+    if context is None:
+        for item in items:
+            if metered:
+                result, snap = run_metered(fn, item)
+                obs.merge(snap)
+                yield result
+            else:
+                yield fn(item)
+        return
+
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    _FN = fn  # every worker forks at the first submit and inherits it
+    executor = ProcessPoolExecutor(max_workers=jobs, mp_context=context)
+    task = _call_metered if metered else _call
+    pending = iter(items)
+    in_flight: collections.deque = collections.deque()
     try:
-        return multiprocessing.get_context("fork")
-    except ValueError:
-        return multiprocessing.get_context()
+        for item in itertools.islice(pending, 2 * jobs):
+            in_flight.append(executor.submit(task, item))
+        while in_flight:
+            result = in_flight.popleft().result()
+            for item in itertools.islice(pending, 1):
+                in_flight.append(executor.submit(task, item))
+            if metered:
+                result, snap = result
+                obs.merge(snap)
+            yield result
+    except BrokenProcessPool as exc:
+        raise WorkerCrashError(
+            f"a worker process died while mapping {getattr(fn, '__name__', fn)!r} "
+            f"over {len(items)} items"
+        ) from exc
+    except KeyboardInterrupt:
+        # Kill the workers before re-raising, so Ctrl-C neither waits for
+        # the items in flight nor leaks orphan workers mid-experiment.
+        for process in list(executor._processes.values()):
+            process.terminate()
+        raise
+    finally:
+        _FN = None
+        executor.shutdown(wait=True, cancel_futures=True)
 
 
 def parallel_map(
@@ -142,72 +209,7 @@ def parallel_map(
     items: Iterable[Any],
     *,
     jobs: Optional[int] = None,
-    initializer: Optional[Callable[..., None]] = None,
-    initargs: Sequence[Any] = (),
-    chunksize: Optional[int] = None,
     metered: bool = False,
 ) -> List[Any]:
-    """Map ``fn`` over ``items`` on ``jobs`` processes, results ordered.
-
-    ``fn``, ``initializer`` and every item must be picklable module-level
-    objects. ``chunksize`` defaults to a round-robin-ish split that keeps
-    every worker busy without starving the tail.
-
-    With ``metered=True`` each item runs through :func:`run_metered`; the
-    per-item metric snapshots ship back with the results and are merged
-    into this process's registry in item order, so the merged counters are
-    identical for every ``jobs`` value.
-    """
-    items = list(items)
-    jobs = resolve_jobs(jobs)
-    jobs = min(jobs, max(1, len(items)))
-    mapped_fn = functools.partial(_metered_call, fn) if metered else fn
-    if jobs <= 1 or len(items) <= 1:
-        out = _serial_map(mapped_fn, items, initializer, initargs)
-        return _merge_metered(out) if metered else out
-
-    try:
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        context = _pool_context()
-    except (ImportError, OSError, ValueError):
-        out = _serial_map(mapped_fn, items, initializer, initargs)
-        return _merge_metered(out) if metered else out
-
-    if chunksize is None:
-        chunksize = max(1, len(items) // (jobs * 4))
-    executor = ProcessPoolExecutor(
-        max_workers=jobs,
-        mp_context=context,
-        initializer=initializer,
-        initargs=tuple(initargs),
-    )
-    try:
-        out = list(executor.map(mapped_fn, items, chunksize=chunksize))
-        return _merge_metered(out) if metered else out
-    except BrokenProcessPool as exc:
-        raise WorkerCrashError(
-            f"a worker process died while mapping {getattr(fn, '__name__', fn)!r} "
-            f"over {len(items)} items"
-        ) from exc
-    except KeyboardInterrupt:
-        # Kill outstanding work before re-raising so Ctrl-C never leaks
-        # orphan workers mid-experiment.
-        executor.shutdown(wait=False, cancel_futures=True)
-        raise
-    finally:
-        executor.shutdown(wait=True, cancel_futures=True)
-
-
-def _serial_map(
-    fn: Callable[[Any], Any],
-    items: List[Any],
-    initializer: Optional[Callable[..., None]],
-    initargs: Sequence[Any],
-) -> List[Any]:
-    """In-process fallback with identical semantics (the initializer runs
-    once)."""
-    if initializer is not None:
-        initializer(*initargs)
-    return [fn(item) for item in items]
+    """:func:`parallel_imap` collected into a list."""
+    return list(parallel_imap(fn, items, jobs=jobs, metered=metered))

@@ -63,7 +63,11 @@ once and writes every block into them in user order: the per-user columns
 at ``[start:stop]``, each in the narrowest signed dtype that holds its
 bound (:func:`column_dtypes`), and the block's handshake RTTs at the next
 free offset of one float64 buffer of ``num_users * handshakes_per_user``
-entries.  No block part outlives its write.  Aggregate float identity:
+entries.  No block part outlives its write: with ``--jobs`` the blocks run
+on forked workers that call the engine's own ``_run_block`` (so any
+population, built from the config or not, shards), and
+:func:`~repro.runtime.parallel.parallel_imap` keeps at most two parts per
+worker in flight.  Aggregate float identity:
 the RTT sum is a single ``np.sum`` over the written, contiguous
 (user-major, slot-major) column, so the result is independent of block
 size and ``--jobs``.
@@ -80,12 +84,12 @@ from repro import obs
 from repro.amq import AMQFilter
 from repro.core.extension import parse_extension_payload
 from repro.core.suppression import ClientSuppressor
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.pki.algorithms import get_signature_algorithm
 from repro.pki.certificate import DEFAULT_ATTRIBUTE_BYTES
 from repro.pki.store import IntermediatePreload
-from repro.runtime.artifacts import ContentCache
-from repro.runtime.parallel import parallel_map, resolve_jobs, run_metered
+from repro.runtime.artifacts import ContentCache, memoized
+from repro.runtime.parallel import parallel_imap
 from repro.webmodel import cohortrng
 from repro.webmodel.population import ICAPopulation, PopulationConfig
 
@@ -575,18 +579,13 @@ class _ClientStates:
     def probe(self, advertised: _ClientState, ordinal: int) -> tuple:
         """Hits of path ``ordinal``'s fingerprints in the advertised
         filter."""
-        key = (advertised.key, ordinal)
-        cached = self._probes.get(key)
-        if cached is None:
-            with obs.scoped() as scope:
-                hits = tuple(
-                    advertised.advertised.contains_batch(self._facts.fps[ordinal])
-                )
-            cached = (hits, scope.snapshot())
-            self._probes.put(key, cached)
-        hits, snap = cached
-        obs.merge(snap)
-        return hits
+        return memoized(
+            self._probes,
+            (advertised.key, ordinal),
+            lambda: tuple(
+                advertised.advertised.contains_batch(self._facts.fps[ordinal])
+            ),
+        )
 
     def step(
         self, state: _ClientState, ordinal: int
@@ -610,12 +609,7 @@ class _ClientStates:
 
 
 class CohortEngine:
-    """Columnar cohort runner over a shared :class:`ICAPopulation`.
-
-    A custom ``population`` instance not reconstructible from
-    ``config.population`` must be run with ``jobs=1`` (workers rebuild
-    the engine from the config).
-    """
+    """Columnar cohort runner over a shared :class:`ICAPopulation`."""
 
     def __init__(
         self,
@@ -817,36 +811,18 @@ class CohortEngine:
     # -- driving ---------------------------------------------------------------
 
     def run(self, jobs: Optional[int] = 1) -> CohortResult:
-        """Run the cohort; ``jobs`` > 1 shards user blocks across worker
-        processes (``None``/``0`` = all cores).  Blocks are independent
-        and reductions are integer or whole-column, so every ``jobs`` and
+        """Run the cohort; ``jobs`` > 1 shards user blocks across forked
+        worker processes that run this engine's own ``_run_block``
+        (``None``/``0`` = all cores).  Blocks are independent and
+        reductions are integer or whole-column, so every ``jobs`` and
         ``block_users`` value produces the identical result."""
-        cfg = self.config
-        jobs = resolve_jobs(jobs)
-        blocks = self.blocks()
-        metered = obs.enabled()
-        out = _CohortOutputs(cfg, self.dtypes)
-        if jobs <= 1 or len(blocks) <= 1:
-            for block in blocks:
-                if metered:
-                    part, snap = run_metered(self._run_block, block)
-                    obs.merge(snap)
-                else:
-                    part = self._run_block(block)
-                out.write(part)
-        else:
-            payload = _CohortWorkerPayload(config=cfg)
-            for part in parallel_map(
-                _cohort_worker_block,
-                blocks,
-                jobs=jobs,
-                initializer=_cohort_worker_init,
-                initargs=(payload,),
-                metered=metered,
-            ):
-                out.write(part)
+        out = _CohortOutputs(self.config, self.dtypes)
+        for part in parallel_imap(
+            self._run_block, self.blocks(), jobs=jobs, metered=obs.enabled()
+        ):
+            out.write(part)
         return finalize_cohort(
-            cfg, out.columns, out.rtt[: out.handshakes], len(self.payload)
+            self.config, out.columns, out.rtt[: out.handshakes], len(self.payload)
         )
 
 
@@ -947,30 +923,6 @@ def finalize_cohort(
         rtt_sum_s=float(np.sum(rtt_s)),
     )
     return CohortResult(config=config, columns=columns, rtt_s=rtt_s, stats=stats)
-
-
-# -- worker plumbing -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _CohortWorkerPayload:
-    """What a cohort worker needs to rebuild the engine bit-for-bit."""
-
-    config: CohortConfig
-
-
-_WORKER_ENGINE: Optional[CohortEngine] = None
-
-
-def _cohort_worker_init(payload: _CohortWorkerPayload) -> None:
-    global _WORKER_ENGINE
-    _WORKER_ENGINE = CohortEngine(payload.config)
-
-
-def _cohort_worker_block(block: Tuple[int, int]) -> _BlockPart:
-    if _WORKER_ENGINE is None:
-        raise SimulationError("cohort worker used before initialization")
-    return _WORKER_ENGINE._run_block(block)
 
 
 # -- reporting -----------------------------------------------------------------

@@ -37,7 +37,6 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.pki.authority import Hierarchy, ICAPath, ServerCredential, build_hierarchy
 from repro.pki.certificate import Certificate
-from repro.runtime import artifacts
 from repro.runtime.parallel import derive_seed
 from repro.webmodel.chains import PAPER_MONTH, ChainMix, table2_mix
 from repro.webmodel.mtkernel import MASK32, mt_words, randbelow_columns, random_columns
@@ -240,8 +239,7 @@ class ICAPopulation:
 
         The leaf seed and serial derive from (population seed, rank), so
         issuance is a pure function of its inputs — independent of visit
-        order, identical across processes, and shareable across simulator
-        instances through the content-keyed credentials cache."""
+        order and identical across processes."""
         cred = self._credentials.get(rank)
         if cred is None:
             domain = self.ranking.domain(rank)
@@ -250,18 +248,9 @@ class ICAPopulation:
             serial = derive_seed(
                 "population.serial", self.config.seed, rank, bits=48
             )
-            key = (
-                path.issuer.certificate.fingerprint(),
-                domain,
-                leaf_seed,
-                serial,
+            cred = self.hierarchy.issue_credential(
+                domain, path, seed=leaf_seed, serial=serial
             )
-            cred = artifacts.CREDENTIALS.get(key)
-            if cred is None:
-                cred = self.hierarchy.issue_credential(
-                    domain, path, seed=leaf_seed, serial=serial
-                )
-                artifacts.CREDENTIALS.put(key, cred)
             self._credentials[rank] = cred
         return cred
 

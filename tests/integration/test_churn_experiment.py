@@ -11,7 +11,6 @@ from repro.runtime import artifacts
 from repro.experiments.churn import (
     ChurnCellResult,
     ChurnExperimentConfig,
-    _TrialTraces,
     _cell_config,
     churn_json_doc,
     format_churn,
@@ -71,8 +70,9 @@ class TestParallelEquality:
 
 class TestTraceMemo:
     """One TLS handshake per distinct context per trial: the memo is
-    shared by a trial's levels, dropped when the next trial starts, and
-    lives for exactly one sweep call."""
+    shared by the levels of a work item, which is one trial's levels
+    when there are at least as many trials as workers, and lives for
+    exactly one item."""
 
     @staticmethod
     def _count_handshakes(monkeypatch):
@@ -166,18 +166,10 @@ class TestTraceMemo:
         assert len(set(builds)) == _SMALL.trials
         assert len(advances) == _SMALL.trials * _SMALL.base.steps
 
-    def test_next_trial_starts_an_empty_memo(self):
-        memo = _TrialTraces()
-        first = memo.of(0)
-        first.traces[("epoch",)] = {}
-        assert memo.of(0) is first
-        assert memo.of(1) == churn_columnar.ChurnMemo()
-        assert memo.of(1) is not first
-
     @pytest.mark.parametrize("trials", [1, 3])
     def test_uneven_trial_sharding_is_jobs_invariant(self, trials):
-        # trials=1 < 2 workers keeps the pool's default split; trials=3
-        # maps one trial per chunk and does not divide evenly by 2.
+        # trials=1 < 2 workers maps one cell per item; trials=3 maps one
+        # trial's levels per item and does not divide evenly by 2.
         config = dataclasses.replace(
             _SMALL, trials=trials, staleness_levels=(1, 2, 4)
         )

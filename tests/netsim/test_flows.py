@@ -54,23 +54,6 @@ class TestMechanics:
         result = simulate_transfer(14_600)
         assert result.segments_sent == 10  # exactly the initial window
 
-    def test_lossless_has_no_retransmissions(self):
-        assert simulate_transfer(50_000).retransmissions == 0
-
-    def test_loss_triggers_retransmission_and_completes(self):
-        result = simulate_transfer(40_000, loss_rate=0.3, seed=5)
-        assert result.retransmissions >= 1
-        assert result.payload_bytes == 40_000
-
-    def test_loss_costs_time(self):
-        clean = simulate_transfer(40_000, seed=5)
-        lossy = simulate_transfer(40_000, loss_rate=0.3, seed=5)
-        assert lossy.completion_time_s > clean.completion_time_s
-
-    def test_pathological_loss_raises(self):
-        with pytest.raises(SimulationError):
-            simulate_transfer(40_000, loss_rate=0.995, seed=1)
-
     def test_negative_payload_rejected(self):
         with pytest.raises(SimulationError):
             simulate_transfer(-1)

@@ -1,11 +1,11 @@
-"""Tests for the RTT model and metric collectors."""
+"""Tests for the RTT model and summary statistics."""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.netsim.metrics import ByteCounter, LatencyCollector, percentile, summarize
+from repro.netsim.metrics import percentile, summarize
 from repro.webmodel import cohortrng
 
 
@@ -44,18 +44,6 @@ class TestSamplers:
             _rtts(0.0, 0.5, count=1)
         with pytest.raises(ValueError, match="sigma must be positive"):
             _rtts(0.04, 0.0, count=1)
-
-
-class TestByteCounter:
-    def test_accumulates_by_category(self):
-        counter = ByteCounter()
-        counter.add("ica", 100)
-        counter.add("ica", 50)
-        counter.add("leaf", 7)
-        assert counter.get("ica") == 150
-        assert counter.get("missing") == 0
-        assert counter.total() == 157
-        assert counter.as_dict() == {"ica": 150, "leaf": 7}
 
 
 class TestSummaries:
@@ -105,13 +93,3 @@ class TestSummaries:
         assert percentile([1.0, 3.0], 0.5) == pytest.approx(2.0)
         assert percentile([1.0, 3.0], 0.0) == 1.0
         assert percentile([1.0, 3.0], 1.0) == 3.0
-
-    def test_collector_labels_and_summary(self):
-        c = LatencyCollector()
-        c.record("pq", 0.2)
-        c.record("pq", 0.4)
-        c.record("classical", 0.1)
-        assert c.labels() == ["classical", "pq"]
-        assert c.summary("pq").mean == pytest.approx(0.3)
-        assert c.samples("pq") == [0.2, 0.4]
-        assert c.summary("nothing").count == 0

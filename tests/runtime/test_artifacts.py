@@ -57,7 +57,6 @@ class TestRegistry:
             "signature_bytes",
             "verified_chains",
             "filter_builds",
-            "credentials",
             "flight_sizes",
             "der_encode",
         ):

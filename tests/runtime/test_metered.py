@@ -26,9 +26,9 @@ def record_item(item: int) -> int:
 
 def touch_cache(item: int) -> int:
     key = ("metered-test", item % 2)
-    cached = artifacts.CREDENTIALS.get(key)
+    cached = artifacts.FLIGHT_SIZES.get(key)
     if cached is None:
-        artifacts.CREDENTIALS.put(key, item)
+        artifacts.FLIGHT_SIZES.put(key, item)
     return item
 
 
@@ -53,7 +53,7 @@ class TestRunMetered:
     def test_records_artifact_cache_deltas(self):
         _, miss_snap = run_metered(touch_cache, 1)
         _, hit_snap = run_metered(touch_cache, 3)  # same key: 3 % 2 == 1
-        labels = (("cache", "credentials"),)
+        labels = (("cache", "flight_sizes"),)
         assert miss_snap["counters"][("runtime.artifacts.misses", labels)] == 1
         assert ("runtime.artifacts.hits", labels) not in miss_snap["counters"]
         assert hit_snap["counters"][("runtime.artifacts.hits", labels)] == 1

@@ -1,5 +1,6 @@
 """Tests for the deterministic process-pool runtime."""
 
+import multiprocessing
 import os
 
 import pytest
@@ -8,13 +9,14 @@ from repro.runtime.parallel import (
     WorkerCrashError,
     default_jobs,
     derive_seed,
+    parallel_imap,
     parallel_map,
     resolve_jobs,
 )
 
 
 # ---------------------------------------------------------------------------
-# Module-level workers (must be picklable by the pool)
+# Module-level workers
 # ---------------------------------------------------------------------------
 
 
@@ -30,17 +32,14 @@ def _die(x):
     os._exit(13)
 
 
-_INIT_STATE = {}
+def _boom_at_three(x):
+    if x == 3:
+        raise ValueError(f"boom on {x}")
+    return x
 
 
-def _remember_init(tag):
-    _INIT_STATE["tag"] = tag
-    _INIT_STATE.setdefault("calls", 0)
-    _INIT_STATE["calls"] += 1
-
-
-def _read_init(_):
-    return _INIT_STATE.get("tag")
+def _interrupt(x):
+    raise KeyboardInterrupt
 
 
 def _read_flight_size(key):
@@ -147,29 +146,25 @@ class TestParallelMap:
 
     def test_worker_crash_raises_worker_crash_error(self):
         with pytest.raises(WorkerCrashError):
-            parallel_map(_die, range(4), jobs=2, chunksize=1)
+            parallel_map(_die, range(4), jobs=2)
+        assert multiprocessing.active_children() == []
 
-    def test_initializer_runs_in_serial_path(self):
-        _INIT_STATE.clear()
-        out = parallel_map(
-            _read_init, [0, 1], jobs=1, initializer=_remember_init,
-            initargs=("tag-serial",),
-        )
-        assert out == ["tag-serial", "tag-serial"]
-        assert _INIT_STATE["calls"] == 1  # once, not per item
+    def test_keyboard_interrupt_tears_the_pool_down(self):
+        with pytest.raises(KeyboardInterrupt):
+            parallel_map(_interrupt, range(6), jobs=2)
+        assert multiprocessing.active_children() == []
 
-    def test_initializer_runs_in_workers(self):
-        out = parallel_map(
-            _read_init, [0, 1, 2, 3], jobs=2, initializer=_remember_init,
-            initargs=("tag-pool",),
-        )
-        assert out == ["tag-pool"] * 4
+    def test_runs_a_lambda_in_workers(self):
+        # Workers call the caller's own function object: nothing about
+        # ``fn`` is pickled, so closures and lambdas shard too.
+        offset = 5
+        assert parallel_map(lambda x: x + offset, range(6), jobs=2) == [
+            x + offset for x in range(6)
+        ]
 
     def test_forked_workers_inherit_parent_caches(self):
         # Fork copies every cache entry the parent holds, so pool workers
         # start warm without being sent anything.
-        import multiprocessing
-
         from repro.runtime import artifacts
 
         try:
@@ -183,3 +178,18 @@ class TestParallelMap:
             assert out == [(111, 222)] * 4
         finally:
             artifacts.FLIGHT_SIZES._entries.pop(key, None)
+
+
+class TestParallelImap:
+    def test_stopping_early_shuts_the_pool_down(self):
+        stream = parallel_imap(_square, range(40), jobs=2)
+        assert next(stream) == 0
+        stream.close()
+        assert multiprocessing.active_children() == []
+
+    def test_worker_raising_mid_stream_keeps_its_type(self):
+        stream = parallel_imap(_boom_at_three, range(40), jobs=2)
+        assert [next(stream) for _ in range(3)] == [0, 1, 2]
+        with pytest.raises(ValueError, match="boom on 3"):
+            next(stream)
+        assert multiprocessing.active_children() == []

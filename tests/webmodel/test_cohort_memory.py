@@ -4,11 +4,13 @@
 into them, so its memory grows with the users only by the retained
 columns: the per-user column bytes (:func:`column_dtypes`) plus one
 float64 RTT slot per destination draw.  These tests pin the dtype rule at
-its boundaries, the per-user footprint under ``tracemalloc``, and that the
-serial, metered and ``--jobs 2`` paths write identical results when the
-last block is short.
+its boundaries, the per-user footprint under ``tracemalloc``, the block
+parts ``--jobs`` holds at once, and that the serial, metered and
+``--jobs 2`` paths write identical results when the last block is short.
 """
 
+import dataclasses
+import gc
 import tracemalloc
 
 import numpy as np
@@ -17,6 +19,7 @@ import pytest
 from tests._fixtures import reduced_population_config, shared_population
 
 from repro import obs
+from repro.webmodel import cohort
 from repro.webmodel.cohort import (
     CohortColumns,
     CohortConfig,
@@ -144,3 +147,52 @@ def test_serial_metered_and_sharded_runs_write_identical_results():
         for name in CohortColumns.__dataclass_fields__:
             assert getattr(other.columns, name).dtype == getattr(serial.columns, name).dtype
     assert len(serial.rtt_s) == serial.stats.handshakes
+
+
+def test_sharded_run_holds_a_window_of_block_parts(monkeypatch):
+    """At ``--jobs 2`` the parent holds at most ``2 * jobs`` parts in
+    flight plus the one being written, whatever the block count: 40
+    blocks here."""
+    config = CohortConfig(
+        num_users=2_000,
+        handshakes_per_user=4,
+        hot_top_n=40,
+        block_users=50,
+        population=reduced_population_config(),
+    )
+    engine = CohortEngine(config, population=shared_population(config.population))
+    alive = []
+    write = cohort._CohortOutputs.write
+
+    def counting_write(outputs, part):
+        alive.append(
+            sum(1 for o in gc.get_objects() if type(o) is cohort._BlockPart)
+        )
+        write(outputs, part)
+
+    monkeypatch.setattr(cohort._CohortOutputs, "write", counting_write)
+    sharded = engine.run(jobs=2)
+    assert len(alive) == len(engine.blocks()) == 40
+    assert max(alive) <= 2 * 2 + 1, alive
+    monkeypatch.setattr(cohort._CohortOutputs, "write", write)
+    assert sharded == engine.run(jobs=1)
+
+
+def test_population_not_built_from_the_config_shards_identically():
+    """Workers run the engine's own population, so a population the
+    config cannot rebuild gives one result at every ``jobs``."""
+    config = CohortConfig(
+        num_users=240,
+        handshakes_per_user=6,
+        hot_top_n=40,
+        fpp=0.25,
+        block_users=16,
+        population=reduced_population_config(),
+    )
+    population = ICAPopulation(
+        dataclasses.replace(config.population, seed=config.population.seed + 5)
+    )
+    engine = CohortEngine(config, population=population)
+    serial = engine.run(jobs=1)
+    assert engine.run(jobs=2) == serial
+    assert serial != run_cohort(config, population=shared_population(config.population))

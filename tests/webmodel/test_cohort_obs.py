@@ -1,7 +1,7 @@
 """``webmodel.cohort.*`` counters under the determinism contract.
 
-The cohort engine meters per block through ``run_metered``/``obs.merge``
-(serial) or metered ``parallel_map`` (workers), so the merged counters
+The cohort engine meters per block through the metered
+``parallel_imap`` (serially or on workers), so the merged counters
 must be one fixed function of the config — identical for any ``--jobs``
 and block size, and identical between the columnar engine and the scalar
 reference (which emits the same counters once over the whole cohort).
