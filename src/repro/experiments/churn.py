@@ -22,10 +22,11 @@ levels of one trial see one event stream, so they share one engine memo
 means the trial's :class:`~repro.webmodel.churn.ChurnWorld` is built and
 advanced once, by the first level to reach each step, and every other
 level replays the recorded frames.  Its trace memo means each distinct
-handshake context — per epoch, a site, the advertised payload's length
-and the probe hit on the site's chain, which is all the trace reads from
-the payload — runs through the TLS machine once per trial rather than
-once per level or per payload image.  The sweep maps work items, each a
+handshake context — the site's served chain, the path the cache
+completes for it and their validity at the epoch's time, the advertised
+payload's length and the probe hit on the site's chain, which is all the
+trace reads — runs through the TLS machine once per trial rather than
+once per epoch, level or payload image.  The sweep maps work items, each a
 run of cells that share one fresh memo: when there are at least as many
 trials as workers an item is one trial's levels, and every worker is
 still busy; with fewer trials than workers an item is one cell, so a

@@ -8,6 +8,7 @@ Only the universal types X.509 structures need are implemented.
 
 from __future__ import annotations
 
+import functools
 from typing import List, Optional, Tuple
 
 from repro.errors import ASN1Error
@@ -130,7 +131,11 @@ def _encode_arc(arc: int) -> bytes:
     return bytes(reversed(chunk))
 
 
+@functools.lru_cache(maxsize=256)
 def encode_oid(dotted: str) -> bytes:
+    """DER OID from its dotted form, memoized per string: certificates
+    encode the same few algorithm and attribute OIDs over and over.  An
+    invalid OID raises on every call (``lru_cache`` stores no errors)."""
     parts = [int(p) for p in dotted.split(".")]
     if len(parts) < 2 or parts[0] > 2 or (parts[0] < 2 and parts[1] >= 40):
         raise ASN1Error(f"invalid OID {dotted!r}")

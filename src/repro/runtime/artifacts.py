@@ -154,12 +154,13 @@ DER_ENCODE = _register_event(EventCounter("der_encode"))
 
 def items_digest(items: Iterable[bytes]) -> bytes:
     """SHA-256 of a byte-string sequence, each item length-prefixed, so
-    the digest pins both the items and their order."""
-    digest = hashlib.sha256()
+    the digest pins both the items and their order.  The framed items
+    are hashed in one call."""
+    parts = []
     for item in items:
-        digest.update(len(item).to_bytes(4, "big"))
-        digest.update(item)
-    return digest.digest()
+        parts.append(len(item).to_bytes(4, "big"))
+        parts.append(item)
+    return hashlib.sha256(b"".join(parts)).digest()
 
 
 def memoized(cache: ContentCache, key: Hashable, compute: Callable[[], Any]) -> Any:

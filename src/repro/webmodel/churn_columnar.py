@@ -5,7 +5,8 @@ engine (:mod:`repro.webmodel.cohort`): N clients advance as numpy columns
 across churn *epochs* (the world's steps), and the per-epoch handshake
 work collapses from ``N × slots`` scalar TLS sessions to one bulk
 membership probe per payload *generation* plus one representative
-handshake per distinct ``(site, payload length, chain hits)`` context.
+handshake per distinct ``(site context, payload length, chain hit)``
+context.
 
 **The churn cohort protocol.** Both this engine and its executable scalar
 spec (:mod:`repro.webmodel.churn_reference`) implement the exact same
@@ -39,21 +40,25 @@ trajectory so that it vectorizes:
   slot)`` is a pure function computable columnarly here and scalar-wise
   in the reference, in any process and any sharding.
 
-**Vectorization strategy.**  Within an epoch the TLS trace of a handshake
-is a pure function of its ``(site, payload length, chain hits)`` context.
-The client carries the advertised payload only as ClientHello extension
-bytes, so only its length reaches the trace; the server reads it only
-through :class:`~repro.core.suppression.ServerSuppressor`, whose
-membership test on the served chain — the generation's bulk-probe hit
-for the site — decides what is suppressed; and the canonical cache
-(path completion), trust store, time and the site's credential are fixed
-by the epoch and the site.  Every other length in the trace is fixed by
-algorithm parameters, not by the per-handshake seed — the property the
-differential suite pins.  So the engine runs *one* representative
-handshake per context through the untouched
-:func:`~repro.tls.session.run_handshake` and broadcasts its trace
-arithmetic over the context's population count — clean contexts and
-flagged ones (FP retries, fallbacks, failures) alike; no cell is
+**Vectorization strategy.**  The TLS trace of a handshake is a pure
+function of its context: the :data:`SiteContext` plus the advertised
+payload's length and the chain's probe hit.  The client carries the
+advertised payload only as ClientHello extension bytes, so only its
+length reaches the trace; the server reads it only through
+:class:`~repro.core.suppression.ServerSuppressor`, whose membership test
+on the served chain — the generation's bulk-probe hit for the site —
+decides what is suppressed.  The rest is fixed by the key: the site
+index (its hostname feeds SNI), the served leaf, ICA and root; the path
+the client's :func:`~repro.pki.chain.complete_path` builds from the
+canonical cache when the ICA is suppressed (or that it cannot); and
+whether each of those certificates is valid at the epoch's time.  The
+trust store is fixed per world and the client checks no CRL.  Every other
+length in the trace is fixed by algorithm parameters, not by the
+per-handshake seed — the property the differential suite pins.  So the
+engine runs *one* representative handshake per context through the
+untouched :func:`~repro.tls.session.run_handshake` and broadcasts its
+trace arithmetic over the context's population count — clean contexts
+and flagged ones (FP retries, fallbacks, failures) alike; no cell is
 replayed on its own.  Each occurring generation probes its filter image
 against the epoch's unique chain set with one ``contains_batch`` call;
 the hits key the contexts, and the representative's first attempt must
@@ -61,20 +66,19 @@ suppress exactly what the probe hits, or the epoch raises
 :class:`~repro.errors.SimulationError`.  Every served chain must hold
 exactly one ICA (one hit per site); a longer chain raises too.
 
-The caller may share a :class:`ChurnMemo` between engines.  It holds
-one world tape per world config with the generation count normalised
-away (which the world never reads), and a trace memo (:data:`TraceMemo`)
-keyed by everything the trace reads: per epoch, that normalised config,
-the step and the canonical cache's fingerprint digest; within the epoch,
-the site, the advertised payload's length and the probe hit on the
-site's ICA.  Generations whose images differ but agree on both share one
-handshake.  The staleness levels of one trial share a world and — level
-by level — the same canonical cache, so an experiment that hands its
-levels one memo builds and advances the world once and runs each
-distinct context once per trial.  A trace miss stores the handshake's
+The caller may share a :class:`ChurnMemo` between engines. It holds one
+world tape per world config with the generation count normalised away
+(which the world never reads), and per such config a trace memo
+(:data:`TraceMemo`) keyed by the context. The key holds no epoch: a
+later epoch whose served chain, completed path and validity flags for a
+site match an earlier one's reuses its traces, and generations whose
+images differ but agree on length and hit share one handshake. The
+staleness levels of one trial share a world, so an experiment that hands
+its levels one memo builds and advances the world once and runs each
+distinct context once per trial. A trace miss stores the handshake's
 obs-counter deltas and every hit replays them, so ``tls.*`` counters do
-not depend on which cell or worker ran the handshake; the world emits
-no counters, so replaying its frames needs no such step.
+not depend on which cell or worker ran the handshake; the world emits no
+counters, so replaying its frames needs no such step.
 
 Wire images come from the one memoized AMQ build
 (:func:`repro.amq.serialization.build_image`, cached in
@@ -110,7 +114,8 @@ from repro.core.cache import ICACache
 from repro.core.extension import parse_extension_payload
 from repro.core.filter_config import plan_filter
 from repro.core.suppression import ServerSuppressor
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ChainValidationError, ConfigurationError, SimulationError
+from repro.pki.chain import complete_path
 from repro.pki.revocation import RevocationList
 from repro.runtime import artifacts
 from repro.runtime.parallel import derive_seed
@@ -456,6 +461,29 @@ class ChurnCohortState:
         if fresh:
             self.cache.add_many(fresh)
 
+    def site_context(self, site_index: int, at_time: int) -> SiteContext:
+        """The :data:`SiteContext` of a handshake with ``site_index`` at
+        ``at_time``: the inputs :meth:`run_representative` reads from the
+        site, the canonical cache and the clock.  The suppressed path is
+        completed by the client's own :func:`~repro.pki.chain.complete_path`
+        over the cache's issuer lookup, so the key follows whichever
+        variant the lookup returns."""
+        chain = self.sites[site_index].credential.chain
+        served = (chain.leaf, *chain.intermediates, chain.root)
+        try:
+            path = complete_path(
+                [chain.leaf], self.cache.lookup_issuer, self.tape.trust_store
+            )
+        except ChainValidationError:
+            path = None
+        completed = () if path is None else (path.leaf, *path.intermediates, path.root)
+        return (
+            site_index,
+            tuple(cert.fingerprint() for cert in served),
+            tuple(cert.fingerprint() for cert in completed) if completed else None,
+            tuple(cert.valid_at(at_time) for cert in served + completed),
+        )
+
     def run_representative(
         self, step: int, client: int, slot: int, site_index: int, payload: bytes
     ) -> HandshakeTrace:
@@ -483,14 +511,25 @@ class ChurnCohortState:
 #: (completed, fp_retries, fallbacks, failures, suppressed, wire_bytes).
 TraceStats = Tuple[int, int, int, int, int, int]
 
-#: Trace memo of one epoch: (trace stats, obs snapshot of the
-#: representative handshake), keyed by the context (site index, advertised
-#: payload length, bulk-probe hit on the site's ICA) — everything the
-#: handshake reads from the payload.
-EpochTraces = Dict[Tuple[int, int, bool], Tuple[TraceStats, Dict[str, Any]]]
+#: What a handshake with one site reads at one epoch apart from the
+#: advertised payload: (site index, served chain's leaf/ICA/root
+#: fingerprints, fingerprints of the path the canonical cache completes
+#: when the ICA is suppressed or ``None`` when it cannot, whether each of
+#: those certificates is valid at the epoch's time).  Built by
+#: :meth:`ChurnCohortState.site_context`.
+SiteContext = Tuple[
+    int, Tuple[bytes, ...], Optional[Tuple[bytes, ...]], Tuple[bool, ...]
+]
 
-#: Trace memo (see the module docstring): epoch key -> that epoch's traces.
-TraceMemo = Dict[tuple, EpochTraces]
+#: Trace memo of one world (see the module docstring): (trace stats, obs
+#: snapshot of the representative handshake), keyed by (site context,
+#: advertised payload length, bulk-probe hit on the site's ICA).
+WorldTraces = Dict[
+    Tuple[SiteContext, int, bool], Tuple[TraceStats, Dict[str, Any]]
+]
+
+#: Normalised world config -> that world's traces.
+TraceMemo = Dict[ChurnConfig, WorldTraces]
 
 
 @dataclass
@@ -540,33 +579,34 @@ class ChurnCohortEngine:
             tape = memo.tapes[self._world_key] = WorldTape(self._world_key)
         self.state = ChurnCohortState(config, tape)
         self._site_key = churn_stream_keys(config.world.seed)[SITE_STREAM]
-        self._traces = memo.traces
+        self._traces = memo.traces.setdefault(self._world_key, {})
 
     def _context_stats(
-        self, traces: EpochTraces, step: int, client: int, slot: int,
-        site_index: int, payload: bytes, hit: bool,
+        self, site_context: SiteContext, step: int, client: int, slot: int,
+        payload: bytes, hit: bool,
     ) -> TraceStats:
         """The trace stats of one context, memoized with obs replay.
 
         The client carries the payload only as extension bytes (its
         length) and the server reads it only through the suppressor's
         membership test on the served chain (``hit``); everything else the
-        trace reads is fixed by the epoch key and the site.  So payloads
-        of one length and one hit share a trace.
+        trace reads is in ``site_context``.  So any epochs and payloads
+        that agree on the site context, the length and the hit share a
+        trace.
         """
-        key = (site_index, len(payload), hit)
-        cached = traces.get(key)
+        key = (site_context, len(payload), hit)
+        cached = self._traces.get(key)
         if cached is None:
             # With metrics off there is nothing to replay into, so the
             # memo stores no snapshot (it would dominate the memo's size).
             scope = obs.scoped() if obs.enabled() else contextlib.nullcontext()
             with scope as registry:
                 trace = self.state.run_representative(
-                    step, client, slot, site_index, payload
+                    step, client, slot, site_context[0], payload
                 )
             snapshot = registry.snapshot() if registry is not None else {}
             cached = (_trace_stats(trace), snapshot)
-            traces[key] = cached
+            self._traces[key] = cached
         stats, trace_metrics = cached
         obs.merge(trace_metrics)
         return stats
@@ -594,10 +634,10 @@ class ChurnCohortEngine:
                     " exactly one"
                 )
         site_fps = [fps[0] for fps in chain_fps]
-        traces = self._traces.setdefault(
-            (self._world_key, step, artifacts.items_digest(state.cache.fingerprints())),
-            {},
-        )
+        site_contexts = [
+            state.site_context(site_index, step * cfg.step_seconds)
+            for site_index in range(num_sites)
+        ]
 
         sites = epoch_site_column(self._site_key, step, n, slots, num_sites)
         gens = (np.arange(n, dtype=np.int64) % k)[:, None]
@@ -624,7 +664,8 @@ class ChurnCohortEngine:
             client, slot = divmod(int(first_cell), slots)
             hit = gen_hits[g][site_index]
             c, r, fb, fail, sup, wire = self._context_stats(
-                traces, step, client, slot, site_index, state.captures[g][0], hit
+                site_contexts[site_index], step, client, slot,
+                state.captures[g][0], hit,
             )
             # The server suppresses exactly what the advertised filter
             # matches, so the first attempt must agree with the bulk probe.

@@ -112,23 +112,21 @@ class TestTraceMemo:
         run_churn_experiment(config, jobs=1)
         assert 0 < len(calls) < alone
 
-    def test_one_handshake_per_site_length_and_hit(self, monkeypatch):
-        """The memo keys a context on what the trace reads from the
-        payload — its length and the chain's probe hit — so one trial
-        never runs two handshakes for one (step, cache, site, length,
-        hit), and runs fewer than it has distinct advertised payloads."""
+    @staticmethod
+    def _record_contexts(monkeypatch):
+        """Patch the engine to record, per representative handshake, the
+        memo key it ran for; returns ``(handshake_keys, cells)`` where
+        ``cells`` collects every ``(step, site, payload)`` a context was
+        resolved for."""
         real_stats = churn_columnar.ChurnCohortEngine._context_stats
         real_handshake = churn_columnar.run_handshake
-        current, payload_contexts, handshake_keys = [], set(), []
+        current, cells, handshake_keys = [], set(), []
 
-        def recording_stats(
-            engine, traces, step, client, slot, site_index, payload, hit
-        ):
-            digest = artifacts.items_digest(engine.state.cache.fingerprints())
-            payload_contexts.add((step, site_index, payload))
-            current[:] = [(step, digest, site_index, len(payload), hit)]
+        def recording_stats(engine, site_context, step, client, slot, payload, hit):
+            cells.add((step, site_context[0], payload))
+            current[:] = [(site_context, len(payload), hit)]
             return real_stats(
-                engine, traces, step, client, slot, site_index, payload, hit
+                engine, site_context, step, client, slot, payload, hit
             )
 
         def recording_handshake(client_config, server_config):
@@ -139,10 +137,101 @@ class TestTraceMemo:
             churn_columnar.ChurnCohortEngine, "_context_stats", recording_stats
         )
         monkeypatch.setattr(churn_columnar, "run_handshake", recording_handshake)
+        return handshake_keys, cells
+
+    def test_one_handshake_per_site_length_and_hit(self, monkeypatch):
+        """The memo keys a context on what the trace reads — the site
+        context, the payload's length and the chain's probe hit — so one
+        trial never runs two handshakes for one key, and runs fewer than
+        it has distinct advertised payloads."""
+        handshake_keys, cells = self._record_contexts(monkeypatch)
         run_churn_experiment(dataclasses.replace(_SMALL, trials=1), jobs=1)
         assert handshake_keys
         assert len(set(handshake_keys)) == len(handshake_keys)
-        assert len(handshake_keys) < len(payload_contexts)
+        assert len(handshake_keys) < len(cells)
+
+    def test_contexts_are_reused_across_epochs(self, monkeypatch):
+        """One generation advertises one payload per epoch, so an
+        epoch-keyed memo would run one handshake per (epoch, site) that
+        occurs; the context key reuses traces across epochs."""
+        handshake_keys, cells = self._record_contexts(monkeypatch)
+        config = dataclasses.replace(_SMALL, trials=1, staleness_levels=(1,))
+        run_churn_experiment(config, jobs=1)
+        epoch_sites = {(step, site) for step, site, _ in cells}
+        assert 0 < len(handshake_keys) < len(epoch_sites)
+
+    @staticmethod
+    def _engine_and_site():
+        """A fresh engine at epoch 0, site 0's served ICA, and generation
+        0's payload with its probe hit on that ICA."""
+        engine = churn_columnar.ChurnCohortEngine(
+            churn_columnar.ChurnCohortConfig(
+                world=_SMALL.base, num_clients=4, handshakes_per_client=1
+            )
+        )
+        state = engine.state
+        state.begin_epoch(0)
+        ica = state.sites[0].credential.chain.intermediates[0]
+        payload = state.captures[0][0]
+        (hit,) = churn_columnar.probe_image(payload, [ica.fingerprint()])
+        return engine, ica, payload, hit
+
+    def test_certificate_validity_separates_contexts(self, monkeypatch):
+        """Two epochs that agree on every certificate but not on whether
+        the served ICA is valid at their time get a handshake each, and
+        the traces differ; a third epoch inside the first one's window
+        reuses it."""
+        calls = self._count_handshakes(monkeypatch)
+        engine, ica, payload, hit = self._engine_and_site()
+        step_seconds = _SMALL.base.step_seconds
+        expired = ica.not_after // step_seconds + 1
+        contexts = {
+            step: engine.state.site_context(0, step * step_seconds)
+            for step in (0, 1, expired)
+        }
+        assert contexts[0] == contexts[1]
+        assert contexts[0][:3] == contexts[expired][:3]
+        assert contexts[0][3] != contexts[expired][3]
+        stats = {
+            step: engine._context_stats(context, step, 0, 0, payload, hit)
+            for step, context in contexts.items()
+        }
+        assert len(calls) == 2
+        assert stats[0] == stats[1]
+        assert stats[0][0] == 1 and stats[expired][0] == 0
+
+    def test_issuer_lookup_variant_separates_contexts(self, monkeypatch):
+        """When a cross-signed variant of the served ICA becomes the one
+        ``ICACache.lookup_issuer`` returns, the suppressed path completes
+        through it, so the context differs only in that path and gets its
+        own handshake."""
+        calls = self._count_handshakes(monkeypatch)
+        engine, ica, payload, hit = self._engine_and_site()
+        state = engine.state
+        before = state.site_context(0, 0)
+        # The world is a pure function of its config, so a second build
+        # holds the same CAs; cross-sign the served ICA by the other root.
+        world = churn.ChurnWorld(_SMALL.base)
+        record = next(
+            r for r in world.records
+            if r.authority.certificate.fingerprint() == ica.fingerprint()
+        )
+        signer = next(
+            r for r in world.roots if r.certificate.subject != ica.issuer
+        )
+        variant = signer.cross_sign(
+            record.authority, not_before=0, not_after=ica.not_after
+        )
+        state.cache.add(variant)
+        assert state.cache.lookup_issuer(ica.subject) == variant
+        after = state.site_context(0, 0)
+        assert before[:2] == after[:2]
+        assert before[2] != after[2]
+        assert after[2][1] == variant.fingerprint()
+        first = engine._context_stats(before, 0, 0, 0, payload, hit)
+        second = engine._context_stats(after, 0, 0, 0, payload, hit)
+        assert len(calls) == 2
+        assert first[0] == second[0] == 1
 
     def test_one_world_per_trial(self, monkeypatch):
         """The levels of a trial replay one world tape: a serial sweep

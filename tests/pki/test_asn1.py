@@ -101,6 +101,22 @@ class TestOID:
         with pytest.raises(ASN1Error):
             asn1.encode_oid("1.40.1")
 
+    @pytest.mark.parametrize(
+        "dotted", ["2.5.4.3", "1.2.840.113549.1.1.11", "2.999.1", "0.9.2342"]
+    )
+    def test_memoized_encoding_matches_the_uncached_one(self, dotted):
+        first = asn1.encode_oid(dotted)
+        hits = asn1.encode_oid.cache_info().hits
+        assert asn1.encode_oid(dotted) is first
+        assert asn1.encode_oid.cache_info().hits == hits + 1
+        assert first == asn1.encode_oid.__wrapped__(dotted)
+
+    @pytest.mark.parametrize("dotted", ["1", "1.40.1", "1.2.-3", "1.x.3"])
+    def test_invalid_oid_raises_on_every_call(self, dotted):
+        for _ in range(3):
+            with pytest.raises((ASN1Error, ValueError)):
+                asn1.encode_oid(dotted)
+
 
 class TestStringsAndMisc:
     def test_boolean(self):

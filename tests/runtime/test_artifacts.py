@@ -1,5 +1,9 @@
 """Tests for the content-keyed artifact caches."""
 
+import hashlib
+
+import pytest
+
 from repro.runtime import artifacts
 from repro.runtime.artifacts import ContentCache, EventCounter
 
@@ -47,6 +51,40 @@ class TestEventCounter:
         assert c.snapshot() == {"hits": 1, "misses": 2}
         c.reset()
         assert c.snapshot() == {"hits": 0, "misses": 0}
+
+
+def _incremental_items_digest(items):
+    """The two-updates-per-item form ``items_digest`` must agree with."""
+    digest = hashlib.sha256()
+    for item in items:
+        digest.update(len(item).to_bytes(4, "big"))
+        digest.update(item)
+    return digest.digest()
+
+
+class TestItemsDigest:
+    @pytest.mark.parametrize(
+        "items, hexdigest",
+        [
+            ([], "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+            (
+                [b"\x01" * 32],
+                "97f2f967abeb270f422bff7b98fb7d8c4a4ef81dc077af8a47abc2e1d0a96f28",
+            ),
+            (
+                [b"", b"a", b"\xff" * 300, b"xyz"],
+                "d2c17970af9c54ea0e8e2db0b87348a9578c99e932faae575e8c748371d26322",
+            ),
+        ],
+    )
+    def test_pinned_to_the_incremental_form(self, items, hexdigest):
+        assert artifacts.items_digest(items) == _incremental_items_digest(items)
+        assert artifacts.items_digest(iter(items)).hex() == hexdigest
+
+    def test_length_prefix_separates_item_boundaries(self):
+        assert artifacts.items_digest([b"ab", b"c"]) != artifacts.items_digest(
+            [b"a", b"bc"]
+        )
 
 
 class TestRegistry:

@@ -12,14 +12,16 @@ config, every per-epoch :class:`~repro.webmodel.churn.StepMetrics`
 (suppression, FP retries, fallbacks, failures, staleness, wire bytes)
 and the whole lifecycle event stream.
 
-Hypothesis drives that over cohort size × epochs × filter family × fpp ×
-``payload_refresh_every`` × seed.  The deterministic anchors then force
+Hypothesis drives that over cohort size × epochs × ICA validity × filter
+family × fpp × ``payload_refresh_every`` × seed.  The deterministic anchors then force
 the interesting paths — stale generations paying real FP retries, high
 fpp probe false positives — so the property suite cannot pass vacuously
 on all-clean draws.  The premise tests pin why broadcast is exact: the
 anchors hold flagged contexts that several cells share, the per-cell
 client/server seeds of such a context never change its trace stats, and
-payloads of one length and one chain hit share a trace (the memo key).
+payloads of one length and one chain hit share a trace (the payload half
+of the memo key; the site half is pinned in
+``tests/integration/test_churn_experiment.py::TestTraceMemo``).
 """
 
 import dataclasses
@@ -82,7 +84,10 @@ churn_configs = st.builds(
     _config,
     num_clients=st.integers(min_value=1, max_value=10),
     handshakes_per_client=st.integers(min_value=1, max_value=3),
-    steps=st.integers(min_value=1, max_value=6),
+    # Horizons past the ICA validity: expiry, renewal and rotation happen
+    # while the trace memo is reused across epochs.
+    steps=st.integers(min_value=1, max_value=12),
+    ica_validity_steps=st.integers(min_value=3, max_value=8),
     filter_kind=st.sampled_from(("cuckoo", "bloom", "vacuum")),
     fpp=st.sampled_from((1e-3, 0.25)),
     payload_refresh_every=st.integers(min_value=1, max_value=6),
@@ -140,6 +145,20 @@ def test_fresh_generations_never_retry_at_tight_fpp():
     assert result.fallbacks == 0
     assert result.failures == 0
     assert result.stale_advertised_rate == 0.0
+
+
+def test_expiring_icas_match_scalar_reference():
+    """A horizon four ICA lifetimes long: the cache sweeps expired ICAs,
+    sites rotate onto renewed ones and the trace memo is reused across
+    those epochs — identically in both engines."""
+    config = _config(
+        num_clients=8, handshakes_per_client=2, steps=12,
+        ica_validity_steps=3, payload_refresh_every=3, seed=1,
+    )
+    result = assert_equivalent(config)
+    assert sum(m.icas_expired_swept for m in result.steps) > 0
+    assert sum(m.site_rotations for m in result.steps) > 0
+    assert result.completed > 0
 
 
 def test_churn_obs_counters_are_engine_invariant():
